@@ -611,14 +611,14 @@ SEIR: susceptible -> exposed -> infectious -> recovered.
 h is the joint law of (exposure period, infectious period) with marginal
 cdfs G and F.  Stage kernels built from h (and Phi0, Psi0 from the
 residual law h0 of the initially exposed):
-  Phi(t) = P(xi <= t < xi + eta)    exposed at 0, infectious at t
-  Psi(t) = P(xi + eta <= t)         recovered by t
+  Phi(t) = P(xi + eta <= t)         recovered by t
+  Psi(t) = P(xi <= t < xi + eta)    exposed at 0, infectious at t
 
 Mean-field limit (fractions of the population):
   Sbar(t) = Sbar(0) - int_0^t lam(s) Sbar(s) Ibar(s) ds
   Ebar(t) = Ebar(0) Gc0(t) + int_0^t Gc(t-s) lam(s) Sbar(s) Ibar(s) ds
-  Ibar(t) = Ibar(0) Fc0(t) + Ebar(0) Phi0(t)
-          + int_0^t Phi(t-s) lam(s) Sbar(s) Ibar(s) ds
+  Ibar(t) = Ibar(0) Fc0(t) + Ebar(0) Psi0(t)
+          + int_0^t Psi(t-s) lam(s) Sbar(s) Ibar(s) ds
   Rbar(t) = 1 - Sbar(t) - Ebar(t) - Ibar(t)
 
 Required laws:
@@ -637,13 +637,13 @@ SIRS: susceptible -> infectious -> recovered -> susceptible.
 h is the joint law of (infectious period, immune period) with marginal
 cdfs F and G.  Stage kernels built from h (and Phi0, Psi0 from the
 residual law h0 of the initially infectious):
-  Phi(t) = P(eta <= t < eta + chi)  infectious at 0, immune at t
-  Psi(t) = P(eta + chi <= t)        back in S by t
+  Phi(t) = P(eta + chi <= t)        back in S by t
+  Psi(t) = P(eta <= t < eta + chi)  infectious at 0, immune at t
 
 Mean-field limit (fractions of the population):
   Ibar(t) = Ibar(0) Fc0(t) + int_0^t Fc(t-s) lam(s) Sbar(s) Ibar(s) ds
-  Rbar(t) = Ibar(0) Phi0(t) + Rbar(0) Gc0(t)
-          + int_0^t Phi(t-s) lam(s) Sbar(s) Ibar(s) ds
+  Rbar(t) = Ibar(0) Psi0(t) + Rbar(0) Gc0(t)
+          + int_0^t Psi(t-s) lam(s) Sbar(s) Ibar(s) ds
   Sbar(t) = 1 - Ibar(t) - Rbar(t)
 
 Required laws:

@@ -29,7 +29,6 @@ __all__ = [
     "DRIVER_IDS",
     "DriverCovariance",
     "FcltPath",
-    "driver_covariance",
     "sample_drivers",
     "sis_sde_path",
     "solve_fclt_path",
@@ -345,14 +344,6 @@ def _residual_cov(f0, ra: str, ta: float, rb: str, tb: float) -> float:
     return m2 - float(mean[ra](ta)) * float(mean[rb](tb))
 
 
-def driver_covariance(kind: str, fluid: FluidSolution, laws, x: str, t, y: str, tp) -> float:
-    """One covariance value; laws is a ModelSpec or None to use fluid.spec."""
-    cov = DriverCovariance(fluid, spec=laws)
-    if cov.kind != kind:
-        raise ValueError("kind does not match the fluid solution")
-    return cov.cov(x, t, y, tp)
-
-
 # ----------------------------------------------------------------- sampling
 
 
@@ -423,8 +414,7 @@ def _w_cell_sd_3d(cov: DriverCovariance) -> np.ndarray:
     return np.sqrt(np.clip(var, 0.0, None))
 
 
-def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1,
-                   batch: int | None = None) -> dict:
+def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
     """Sample joint driver paths on the covariance grid.
 
     W-driven drivers are aggregated from independent Gaussian cell
@@ -441,8 +431,7 @@ def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1,
 
     if kind in ("SIS", "SIR"):
         sd = _w_cell_sd_2d(cov)
-        if batch is None:
-            batch = max(1, min(paths, 8_000_000 // sd.size))
+        batch = max(1, min(paths, 8_000_000 // sd.size))
         done = 0
         while done < paths:
             b = min(batch, paths - done)
@@ -457,8 +446,7 @@ def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1,
         out["I1"] = out["MA"] - out["R1"]
     else:
         sd = _w_cell_sd_3d(cov)
-        if batch is None:
-            batch = max(1, min(paths, 8_000_000 // sd.size))
+        batch = max(1, min(paths, 8_000_000 // sd.size))
         onset = np.zeros((paths, n))  # past stage 1 by t
         both = np.zeros((paths, n))  # past both stages by t
         done = 0

@@ -35,7 +35,6 @@ __all__ = [
     "table_kernel",
     "conv_full",
     "solve_fluid",
-    "solve_linear_volterra_2d",
     "solve_markovian_ode",
     "solve_deterministic_delay",
 ]
@@ -121,28 +120,66 @@ def _cumtrapz(q, dt):
 class _StepKernel:
     """Per-step convolution bookkeeping for one kernel against the rate path."""
 
-    __slots__ = ("cont", "atoms", "lag0", "w", "dt")
+    __slots__ = ("cont", "hist", "atoms", "lag0", "w", "dt")
 
     def __init__(self, ker: ConvKernel, dt: float):
         self.cont = np.ascontiguousarray(ker.cont, dtype=float)
+        self.hist = bool(np.any(self.cont))  # atom-only kernels skip the dot
         self.atoms = tuple((lag, j) for lag, j in ker.atoms if lag > 0)
         self.lag0 = sum(j for lag, j in ker.atoms if lag == 0)
         # implicit weight of q_k: half-cell of the lag-0 kernel value
-        self.w = 0.5 * dt * (self.cont[0] + self.lag0)
+        self.w = float(0.5 * dt * (self.cont[0] + self.lag0))
         self.dt = dt
 
     def known(self, k, q, qr, qcum, kk):
         """Contribution of q[0..k-1]; q[k]'s share is self.w * q[k]."""
-        s = 0.5 * self.cont[k] * q[0]
-        if k > 1:
-            s += np.dot(self.cont[1:k], qr[kk - k + 1 : kk])
-        v = self.dt * s
+        v = 0.0
+        if self.hist:
+            s = 0.5 * self.cont[k] * q[0]
+            if k > 1:
+                s += np.dot(self.cont[1:k], qr[kk - k + 1 : kk])
+            v = self.dt * s
         if self.lag0:
             v += self.lag0 * (qcum[k - 1] + 0.5 * self.dt * q[k - 1])
         for lag, j in self.atoms:
             if lag <= k:
                 v += j * qcum[k - lag]
         return v
+
+
+def _renewal(grid, terms, rate):
+    """Step X_i(t) = f_i(t) + int_0^t K_i(t-s) q(s) ds across the grid.
+
+    terms is a list of (forcing, ConvKernel) pairs. Forcings are time-major:
+    (n,) for one path or (n, P) for a bundle. rate(k, bases, ws) returns q
+    at node k given that X_i(t_k) = bases[i] + ws[i] * q(t_k). Returns
+    (list of X_i, q, cumulative trapezoid of q), all with the forcings' shape.
+    """
+    dt = grid_step(grid)
+    kk = len(grid) - 1
+    fs = [f for f, _ in terms]
+    kers = [_StepKernel(K, dt) for _, K in terms]
+    ws = [ker.w for ker in kers]
+    shape = fs[0].shape
+    q = np.zeros(shape)
+    qr = np.zeros(shape)  # qr[kk - j] = q[j], kept for contiguous dots
+    qcum = np.zeros(shape)
+    xs = [np.empty(shape) for _ in terms]
+
+    bases = [f[0] for f in fs]
+    for x, b in zip(xs, bases):
+        x[0] = b
+    q[0] = rate(0, bases, [0.0] * len(terms))
+    qr[kk] = q[0]
+    for k in range(1, kk + 1):
+        bases = [f[k] + ker.known(k, q, qr, qcum, kk) for f, ker in zip(fs, kers)]
+        qk = rate(k, bases, ws)
+        q[k] = qk
+        qr[kk - k] = qk
+        qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
+        for x, b, w in zip(xs, bases, ws):
+            x[k] = b + w * qk
+    return xs, q, qcum
 
 
 class _StepDiverged(Exception):
@@ -172,26 +209,22 @@ class FluidSolution:
 
 
 def _fixed_point_scalar(update, q0):
-    """Iterate q = update(q) from q0; returns (q, iterations) or raises."""
-    # Divergence is detected and handled, so silence transient overflows.
+    """Iterate q = update(q) from q0; returns (q, iterations) or raises.
+
+    Divergence is detected and handled, so callers silence transient
+    overflows with np.errstate around the whole solve.
+    """
     q = q0
     delta = float("inf")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, _MAX_ITER + 1):
-            qn = update(q)
-            if not math.isfinite(qn):
-                raise _StepDiverged(float("inf"))
-            delta = abs(qn - q)
-            if delta <= _TOL * max(1.0, abs(qn)):
-                return qn, it
-            q = qn
+    for it in range(1, _MAX_ITER + 1):
+        qn = update(q)
+        if not math.isfinite(qn):
+            raise _StepDiverged(float("inf"))
+        delta = abs(qn - q)
+        if delta <= _TOL * max(1.0, abs(qn)):
+            return qn, it
+        q = qn
     raise _StepDiverged(delta)
-
-
-def _init_guess(mode, q, k):
-    if mode == "extrapolate" and k >= 2:
-        return 2.0 * q[k - 1] - q[k - 2]
-    return q[k - 1]
 
 
 def _require_nodes(grid, dists):
@@ -203,12 +236,7 @@ def _require_nodes(grid, dists):
             _atom_lag(loc, dt)
 
 
-def solve_fluid(
-    spec: ModelSpec,
-    grid,
-    kernels: KernelTable | None = None,
-    step_init: str = "previous",
-) -> FluidSolution:
+def solve_fluid(spec: ModelSpec, grid, kernels: KernelTable | None = None) -> FluidSolution:
     """Solve the deterministic limit system of spec's model on the grid."""
     grid = np.asarray(grid, dtype=float)
     grid_step(grid)  # validate uniformity
@@ -220,7 +248,7 @@ def solve_fluid(
         dt = dt0 / (1 << halving)
         g = uniform_grid(horizon, dt) if halving else grid
         try:
-            sol = _solve_fluid_on(spec, g, kernels if not halving else None, step_init)
+            sol = _solve_fluid_on(spec, g, kernels if not halving else None)
         except _StepDiverged as e:
             last = e
             continue
@@ -246,146 +274,93 @@ def solve_fluid(
     )
 
 
-def _solve_fluid_on(spec, grid, kernels, step_init):
+def _solve_fluid_on(spec, grid, kernels):
+    """One fluid solve without halving.
+
+    Every kind has rate q = lam S I with I = X_0 and S = s0 + sum_i c_i X_i
+    over the renewal terms; SIR and SEIR carry S as a term of its own whose
+    kernel is a lag-0 atom of -1, so S(t) = S(0) - int_0^t q.
+    """
     kind = spec.kind
     dt = float(grid[1] - grid[0])
-    kk = len(grid) - 1
-    lam = spec.lam_on_grid(grid)
+    n = len(grid)
+    lam = spec.lam_on_grid(grid).tolist()
     i0, e0, r0 = spec.i0, spec.e0, spec.r0
+    minus_cum = ConvKernel(cont=np.zeros(n), atoms=((0, -1.0),))
 
-    q = np.zeros(kk + 1)
-    qr = np.zeros(kk + 1)  # qr[kk - j] = q[j], kept for contiguous dots
-    qcum = np.zeros(kk + 1)
-    max_it = 0
-
-    if kind in ("SIS", "SIR"):
-        _require_nodes(grid, [spec.f, spec.f0])
-        ker_i = _StepKernel(survival_kernel(spec.f, grid), dt)
-        forc_i = i0 * spec.f0.sf(grid)
-        ii = np.empty(kk + 1)
-        ii[0] = forc_i[0]
-        s_base = 1.0 - i0
-        ss = np.empty(kk + 1)
-        ss[0] = (1.0 - ii[0]) if kind == "SIS" else s_base
-        q[0] = lam[0] * ss[0] * ii[0]
-        qr[kk] = q[0]
-        for k in range(1, kk + 1):
-            kn = ker_i.known(k, q, qr, qcum, kk)
-            lam_k = lam[k]
-            base = forc_i[k] + kn
-            if kind == "SIS":
-
-                def upd(qk):
-                    ik = base + ker_i.w * qk
-                    return lam_k * (1.0 - ik) * ik
-
-            else:
-                s_known = s_base - (qcum[k - 1] + 0.5 * dt * q[k - 1])
-
-                def upd(qk):
-                    ik = base + ker_i.w * qk
-                    sk = s_known - 0.5 * dt * qk
-                    return lam_k * sk * ik
-
-            qk, it = _fixed_point_scalar(upd, _init_guess(step_init, q, k))
-            max_it = max(max_it, it)
-            q[k] = qk
-            qr[kk - k] = qk
-            qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
-            ii[k] = base + ker_i.w * qk
-            ss[k] = (1.0 - ii[k]) if kind == "SIS" else s_base - qcum[k]
-        if kind == "SIS":
-            rr = np.zeros(kk + 1)
-        else:
-            rr = i0 * spec.f0.cdf(grid) + conv_full(cdf_kernel(spec.f, grid), q, dt)
-        ee = np.zeros(kk + 1)
-        ll = qcum.copy()
-        aa = qcum.copy()
-        resid = _probe_residual(ii, forc_i, survival_kernel(spec.f, grid), q, dt)
-
-    elif kind == "SEIR":
+    if kind in ("SEIR", "SIRS"):
         h0 = spec.h0 if spec.h0 is not None else spec.h
         kt = kernels if kernels is not None else tabulate_kernels(spec.h, h0, grid)
         _check_table(kt, grid)
-        ker_i = _StepKernel(table_kernel(kt.psi, kt.psi_atoms, grid), dt)
+    if kind in ("SIS", "SIR"):
+        _require_nodes(grid, [spec.f, spec.f0])
+        terms = [(i0 * spec.f0.sf(grid), survival_kernel(spec.f, grid))]
+        if kind == "SIS":
+            s0, cs = 1.0, (-1.0,)
+        else:
+            terms.append((np.full(n, 1.0 - i0), minus_cum))
+            s0, cs = 0.0, (0.0, 1.0)
+    elif kind == "SEIR":
         forc_i = e0 * kt.psi0
         if i0 > 0:
             forc_i = forc_i + i0 * spec.f0.sf(grid)
-        s_base = 1.0 - i0 - e0
-        ii = np.empty(kk + 1)
-        ii[0] = forc_i[0]
-        ss = np.empty(kk + 1)
-        ss[0] = s_base
-        q[0] = lam[0] * s_base * ii[0]
-        qr[kk] = q[0]
-        for k in range(1, kk + 1):
-            kn = ker_i.known(k, q, qr, qcum, kk)
-            lam_k = lam[k]
-            base = forc_i[k] + kn
-            s_known = s_base - (qcum[k - 1] + 0.5 * dt * q[k - 1])
+        terms = [
+            (forc_i, table_kernel(kt.psi, kt.psi_atoms, grid)),
+            (np.full(n, 1.0 - i0 - e0), minus_cum),
+        ]
+        s0, cs = 0.0, (0.0, 1.0)
+    else:  # SIRS
+        forc_r = i0 * kt.psi0
+        if r0 > 0:
+            forc_r = forc_r + r0 * spec.f0.sf(grid)
+        terms = [
+            (i0 * (1.0 - h0.g.cdf(grid)), survival_kernel(spec.h.g, grid)),
+            (forc_r, table_kernel(kt.psi, kt.psi_atoms, grid)),
+        ]
+        s0, cs = 1.0, (-1.0, -1.0)
 
-            def upd(qk):
-                return lam_k * (s_known - 0.5 * dt * qk) * (base + ker_i.w * qk)
+    max_it = 0
+    q_prev = 0.0
 
-            qk, it = _fixed_point_scalar(upd, _init_guess(step_init, q, k))
+    def rate(k, bases, ws):
+        nonlocal max_it, q_prev
+        bases = [float(b) for b in bases]  # plain floats iterate faster
+        ib, iw = bases[0], ws[0]
+        sb, sw = s0, 0.0
+        for c, b, w in zip(cs, bases, ws):
+            sb += c * b
+            sw += c * w
+        lam_k = lam[k]
+        if k == 0:
+            q_prev = lam_k * sb * ib
+        else:
+            q_prev, it = _fixed_point_scalar(
+                lambda qk: lam_k * (sb + sw * qk) * (ib + iw * qk), q_prev)
             max_it = max(max_it, it)
-            q[k] = qk
-            qr[kk - k] = qk
-            qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
-            ii[k] = base + ker_i.w * qk
-            ss[k] = s_base - qcum[k]
-        gker = survival_kernel(spec.h.g, grid)
-        ee = e0 * (1.0 - h0.g.cdf(grid)) + conv_full(gker, q, dt)
+        return q_prev
+
+    # Divergence is detected and handled, so silence transient overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, q, qcum = _renewal(grid, terms, rate)
+    ii = xs[0]
+    ss = np.full(n, s0)
+    for c, x in zip(cs, xs):
+        ss += c * x
+    ee = np.zeros(n)
+    ll = qcum.copy()
+    if kind == "SIS":
+        rr = np.zeros(n)
+    elif kind == "SIR":
+        rr = i0 * spec.f0.cdf(grid) + conv_full(cdf_kernel(spec.f, grid), q, dt)
+    elif kind == "SEIR":
+        ee = e0 * (1.0 - h0.g.cdf(grid)) + conv_full(survival_kernel(spec.h.g, grid), q, dt)
         rr = e0 * kt.phi0 + conv_full(table_kernel(kt.phi, kt.phi_atoms, grid), q, dt)
         if i0 > 0:
             rr = rr + i0 * spec.f0.cdf(grid)
         ll = e0 * h0.g.cdf(grid) + conv_full(cdf_kernel(spec.h.g, grid), q, dt)
-        aa = qcum.copy()
-        resid = _probe_residual(ii, forc_i, table_kernel(kt.psi, kt.psi_atoms, grid), q, dt)
-
-    elif kind == "SIRS":
-        h0 = spec.h0 if spec.h0 is not None else spec.h
-        kt = kernels if kernels is not None else tabulate_kernels(spec.h, h0, grid)
-        _check_table(kt, grid)
-        ker_i = _StepKernel(survival_kernel(spec.h.g, grid), dt)
-        ker_r = _StepKernel(table_kernel(kt.psi, kt.psi_atoms, grid), dt)
-        forc_i = i0 * (1.0 - h0.g.cdf(grid))
-        forc_r = i0 * kt.psi0
-        if r0 > 0:
-            forc_r = forc_r + r0 * spec.f0.sf(grid)
-        ii = np.empty(kk + 1)
-        rr = np.empty(kk + 1)
-        ii[0] = forc_i[0]
-        rr[0] = forc_r[0]
-        q[0] = lam[0] * (1.0 - ii[0] - rr[0]) * ii[0]
-        qr[kk] = q[0]
-        for k in range(1, kk + 1):
-            kn_i = ker_i.known(k, q, qr, qcum, kk)
-            kn_r = ker_r.known(k, q, qr, qcum, kk)
-            lam_k = lam[k]
-            base_i = forc_i[k] + kn_i
-            base_r = forc_r[k] + kn_r
-
-            def upd(qk):
-                ik = base_i + ker_i.w * qk
-                rk = base_r + ker_r.w * qk
-                return lam_k * (1.0 - ik - rk) * ik
-
-            qk, it = _fixed_point_scalar(upd, _init_guess(step_init, q, k))
-            max_it = max(max_it, it)
-            q[k] = qk
-            qr[kk - k] = qk
-            qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
-            ii[k] = base_i + ker_i.w * qk
-            rr[k] = base_r + ker_r.w * qk
-        ss = 1.0 - ii - rr
-        ee = np.zeros(kk + 1)
-        ll = qcum.copy()
-        aa = qcum.copy()
-        resid = _probe_residual(ii, forc_i, survival_kernel(spec.h.g, grid), q, dt)
-
-    else:  # pragma: no cover - ModelSpec already validates
-        raise ValueError(f"unsupported kind {kind}")
+    else:
+        rr = xs[1]
+    resid = _probe_residual(ii, terms[0][0], terms[0][1], q, dt)
 
     return FluidSolution(
         kind=kind,
@@ -394,7 +369,7 @@ def _solve_fluid_on(spec, grid, kernels, step_init):
         E=ee,
         I=ii,
         R=rr,
-        A=aa,
+        A=qcum,
         L=ll,
         spec=spec,
         diagnostics={
@@ -440,19 +415,16 @@ def solve_linear_volterra(forcings, kernels, coefs, weights, grid, residual_chec
     """
     grid = np.asarray(grid, dtype=float)
     dt = grid_step(grid)
-    kk = len(grid) - 1
-    n = kk + 1
-    kers = [_StepKernel(_as_conv_kernel(K, n), dt) for K in kernels]
-    m = len(kers)
-    if not (len(forcings) == len(coefs) == len(weights) == m):
+    n = len(grid)
+    if not (len(forcings) == len(coefs) == len(weights) == len(kernels)):
         raise ValueError("forcings, kernels, coefs, weights must have equal length")
     fs = [np.asarray(f, dtype=float) for f in forcings]
     shape = np.broadcast_shapes(*(f.shape for f in fs))
     if shape[-1] != n or len(shape) > 2:
         raise ValueError("forcings must be (n,) or (paths, n) on the grid")
     flat = len(shape) == 1
-    fs = [np.ascontiguousarray(np.broadcast_to(f, shape)).reshape(-1, n) for f in fs]
-    p = fs[0].shape[0]
+    # time-major (n,) or (n, P), so that a step reads one row of the history
+    fs = [np.ascontiguousarray(np.broadcast_to(f, shape).T) for f in fs]
     zs = []
     for z in weights:
         z = np.asarray(z, dtype=float)
@@ -461,80 +433,31 @@ def solve_linear_volterra(forcings, kernels, coefs, weights, grid, residual_chec
         if z.shape != (n,):
             raise ValueError("coupling weights must be scalars or (n,) paths")
         zs.append(z)
-    cs = [float(c) for c in coefs]
+    kers = []  # c_i folded in: X_i = f_i + int (c_i K_i)(t-s) r(s) ds
+    for K, c in zip(kernels, coefs):
+        K, c = _as_conv_kernel(K, n), float(c)
+        kers.append(ConvKernel(cont=c * K.cont, atoms=tuple((lag, c * j) for lag, j in K.atoms)))
 
-    r = np.zeros((p, n))
-    rrev = np.zeros((p, n))  # rrev[:, kk - j] = r[:, j], for contiguous dots
-    rcum = np.zeros((p, n))
-    xs = [np.empty((p, n)) for _ in range(m)]
-
-    r0 = np.zeros(p)
-    for i in range(m):
-        xs[i][:, 0] = fs[i][:, 0]
-        r0 += zs[i][0] * fs[i][:, 0]
-    r[:, 0] = r0
-    rrev[:, kk] = r0
-
-    for k in range(1, n):
+    def rate(k, bases, ws):
+        num = 0.0
         den = 1.0
-        num = np.zeros(p)
-        knowns = []
-        for i, ker in enumerate(kers):
-            kn = 0.5 * ker.cont[k] * r[:, 0]
-            if k > 1:
-                kn = kn + rrev[:, kk - k + 1 : kk] @ ker.cont[1:k]
-            kn *= dt
-            if ker.lag0:
-                kn += ker.lag0 * (rcum[:, k - 1] + 0.5 * dt * r[:, k - 1])
-            for lag, j in ker.atoms:
-                if lag <= k:
-                    kn += j * rcum[:, k - lag]
-            knowns.append(kn)
-            num += zs[i][k] * (fs[i][:, k] + cs[i] * kn)
-            den -= zs[i][k] * cs[i] * ker.w
-        rk = num / den
-        r[:, k] = rk
-        rrev[:, kk - k] = rk
-        rcum[:, k] = rcum[:, k - 1] + 0.5 * dt * (r[:, k - 1] + rk)
-        for i in range(m):
-            xs[i][:, k] = fs[i][:, k] + cs[i] * (knowns[i] + kers[i].w * rk)
+        for z, b, w in zip(zs, bases, ws):
+            num = num + z[k] * b
+            den -= z[k] * w
+        return num / den
+
+    xs, r, _ = _renewal(grid, list(zip(fs, kers)), rate)
 
     if residual_check:
         worst = 0.0
-        for i, K in enumerate(kernels):
-            ker = _as_conv_kernel(K, n)
-            for pp in range(p):
-                conv = conv_full(ker, r[pp], dt)
-                worst = max(worst, float(np.max(np.abs(xs[i][pp] - fs[i][pp] - cs[i] * conv))))
+        for f, ker, x in zip(fs, kers, xs):
+            conv = np.apply_along_axis(lambda rp: conv_full(ker, rp, dt), 0, r)
+            worst = max(worst, float(np.max(np.abs(x - f - conv))))
         if worst > 1e-10:
             raise RuntimeError(f"discretized-equation residual {worst:.3e} above 1e-10")
     if flat:
-        return [x[0] for x in xs], r[0]
-    return xs, r
-
-
-def solve_linear_volterra_2d(a, x, y, z, w, c, K, grid):
-    """Two-unknown linear system: phi(t) = a + x(t) + c int (phi z + w psi) ds,
-    psi(t) = y(t) + c int K(t-s)(phi z + w psi)(s) ds. Returns (phi, psi)."""
-    grid = np.asarray(grid, dtype=float)
-    n = len(grid)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for name, arr in (("x", x), ("y", y), ("z", z), ("w", w)):
-        if arr.shape != (n,):
-            raise ValueError(f"path {name} must have the grid's length")
-    ones = ConvKernel(cont=np.ones(n), atoms=())
-    xs, _ = solve_linear_volterra(
-        forcings=[float(a) + x, y],
-        kernels=[ones, _as_conv_kernel(K, n)],
-        coefs=[float(c), float(c)],
-        weights=[z, w],
-        grid=grid,
-        residual_check=True,
-    )
-    return xs[0], xs[1]
+        return xs, r
+    return [np.ascontiguousarray(x.T) for x in xs], np.ascontiguousarray(r.T)
 
 
 _ODE_INIT_KEYS = {"i0", "e0", "r0"}
@@ -647,23 +570,24 @@ def solve_deterministic_delay(kind, lam, xi, eta, init, grid) -> FluidSolution:
     rr[0] = forc_r[0]
     q[0] = (1.0 - ii[0] - rr[0]) * ii[0]
     max_it = 0
-    for k in range(1, kk + 1):
-        lag_x = qcum[k - mx] if k >= mx else 0.0
-        lag_xe = qcum[k - mx - me] if k >= mx + me else 0.0
-        rr[k] = forc_r[k] + lam * (lag_x - lag_xe)
-        base_cum = qcum[k - 1] + 0.5 * dt * q[k - 1]
-        rk = rr[k]
-        fk = forc_i[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, kk + 1):
+            lag_x = qcum[k - mx] if k >= mx else 0.0
+            lag_xe = qcum[k - mx - me] if k >= mx + me else 0.0
+            rr[k] = forc_r[k] + lam * (lag_x - lag_xe)
+            base_cum = qcum[k - 1] + 0.5 * dt * q[k - 1]
+            rk = rr[k]
+            fk = forc_i[k]
 
-        def upd(qk):
-            ik = fk + lam * (base_cum + 0.5 * dt * qk - lag_x)
-            return (1.0 - ik - rk) * ik
+            def upd(qk):
+                ik = fk + lam * (base_cum + 0.5 * dt * qk - lag_x)
+                return (1.0 - ik - rk) * ik
 
-        qk, it = _fixed_point_scalar(upd, q[k - 1])
-        max_it = max(max_it, it)
-        q[k] = qk
-        qcum[k] = base_cum + 0.5 * dt * qk
-        ii[k] = fk + lam * (qcum[k] - lag_x)
+            qk, it = _fixed_point_scalar(upd, q[k - 1])
+            max_it = max(max_it, it)
+            q[k] = qk
+            qcum[k] = base_cum + 0.5 * dt * qk
+            ii[k] = fk + lam * (qcum[k] - lag_x)
 
     aa = lam * qcum
     ss = 1.0 - ii - rr

@@ -238,9 +238,14 @@ def test_describe_output_and_main():
         assert "Required laws" in text
     assert "Sbar(t) + Ibar(t) = 1" in cli.describe("SIS")
     assert "Rbar(t)" in cli.describe("SIR")
-    for name in ("Phi(t)", "Psi(t)", "Phi0", "Psi0"):
-        assert name in cli.describe("SEIR")
-    assert "immune" in cli.describe("SIRS")
+    # Phi/Psi follow KernelTable: psi is "in stage 2 at t", phi "past both"
+    seir, sirs = cli.describe("SEIR"), cli.describe("SIRS")
+    assert "Phi(t) = P(xi + eta <= t)         recovered by t" in seir
+    assert "Psi(t) = P(xi <= t < xi + eta)    exposed at 0, infectious at t" in seir
+    assert "Ebar(0) Psi0(t)" in seir and "int_0^t Psi(t-s)" in seir
+    assert "Phi(t) = P(eta + chi <= t)        back in S by t" in sirs
+    assert "Psi(t) = P(eta <= t < eta + chi)  infectious at 0, immune at t" in sirs
+    assert "Ibar(0) Psi0(t)" in sirs and "int_0^t Psi(t-s)" in sirs
     with pytest.raises(ValueError, match="unknown kind"):
         cli.describe("SEIRS")
     assert cli.main(["describe", "SIR"]) == 0

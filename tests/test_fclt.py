@@ -23,7 +23,6 @@ from epilim.fclt import (
     _chol_psd,
     _two_time_values,
     _w_cell_sd_2d,
-    driver_covariance,
     sample_drivers,
     sis_sde_path,
     solve_fclt_path,
@@ -140,9 +139,8 @@ def test_initial_block_closed_form():
     spec = ModelSpec(kind="SIS", lam=0.8, i0=0.4, f=Exponential(1.0),
                      f0=Exponential(np.log(2.0)))
     fl = solve_fluid(spec, grid)
-    assert driver_covariance("SIS", fl, None, "I0", 1.0, "I0", 1.0) == pytest.approx(
-        0.1, abs=1e-12)
     cov = DriverCovariance(fl)
+    assert cov.cov("I0", 1.0, "I0", 1.0) == pytest.approx(0.1, abs=1e-12)
     sf = spec.f0.sf
     for ta, tb in [(0.25, 1.5), (1.0, 1.0), (2.0, 0.5)]:
         want = 0.4 * (sf(max(ta, tb)) - sf(ta) * sf(tb))
@@ -203,8 +201,9 @@ def test_cross_block_independence_and_validation():
         cov.cov("MA", 0.5, "I0", 0.5)  # SEIR has no plain I0
     with pytest.raises(ValueError, match="node"):
         cov.cov("MA", 0.5, "MA", 0.517)
+    sir = ModelSpec(kind="SIR", lam=1.0, i0=0.05, f=Exponential(1.0))
     with pytest.raises(ValueError, match="kind"):
-        driver_covariance("SIR", fl, None, "MA", 0.5, "MA", 0.5)
+        DriverCovariance(fl, spec=sir)
     bare = solve_fluid(spec, grid)
     bare.spec = None
     with pytest.raises(ValueError, match="spec"):

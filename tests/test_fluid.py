@@ -21,7 +21,6 @@ from epilim.fluid import (
     solve_deterministic_delay,
     solve_fluid,
     solve_linear_volterra,
-    solve_linear_volterra_2d,
     solve_markovian_ode,
     survival_kernel,
 )
@@ -92,6 +91,14 @@ def test_seir_matches_markovian_ode():
         assert _sup(a, b) < 1e-6
     # exposed balance holds by construction, not just asymptotically
     assert _sup(sol.E, 0.03 + sol.A - sol.L) < 1e-12
+
+
+def test_sis_matches_markovian_ode():
+    grid = uniform_grid(10.0, 0.002)
+    spec = ModelSpec(kind="SIS", lam=2.0, i0=0.05, f=Exponential(1.0))
+    sol = solve_fluid(spec, grid)
+    ode = solve_markovian_ode("SIS", 2.0, 0.0, 1.0, {"i0": 0.05}, grid)
+    assert _sup(sol.I, ode.I) < 1e-6
 
 
 def test_sirs_matches_markovian_ode():
@@ -238,12 +245,10 @@ def test_grid_refinement_is_second_order():
     assert 3.2 < ratio < 7.0
 
 
-def test_step_init_probe_and_diagnostics():
+def test_probe_and_diagnostics():
     grid = uniform_grid(6.0, 0.01)
     spec = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Gamma(2.0, 2.0))
-    a = solve_fluid(spec, grid, step_init="previous")
-    b = solve_fluid(spec, grid, step_init="extrapolate")
-    assert _sup(a.I, b.I) < 1e-10  # discrete fixed point is init-independent
+    a = solve_fluid(spec, grid)
     assert a.diagnostics["probe_residual"] < 1e-10
     assert a.diagnostics["halvings"] == 0
     assert a.diagnostics["max_iterations"] >= 1
@@ -310,7 +315,11 @@ def test_linear_volterra_2d_against_picard():
     w = 0.2 * np.ones(n)
     K = np.exp(-grid)
     a, c = 0.4, 0.8
-    phi, psi = solve_linear_volterra_2d(a, x, y, z, w, c, K, grid)
+    # phi = a + x + c int (z phi + w psi) ds, psi = y + c int K(t-s)(z phi + w psi)(s) ds
+    ones = ConvKernel(cont=np.ones(n), atoms=())
+    (phi, psi), _ = solve_linear_volterra(
+        [a + x, y], [ones, K], [c, c], [z, w], grid, residual_check=True
+    )
 
     # fixed-point iteration on the same trapezoid discretization
     dt = 0.005
