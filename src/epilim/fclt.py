@@ -1,9 +1,12 @@
 """Gaussian fluctuation limits around the fluid paths.
 
-Closed-form covariance kernels of the limit drivers, joint path sampling
-that preserves the pathwise additive identities, the linear stochastic
-Volterra solves for (Shat, Ehat, Ihat, Rhat), and the Markovian SIS SDE
-cross-check.
+The driver law (DriverCovariance): every limit driver is a fixed linear
+combination of the base processes of one independent Gaussian block, and
+each block's covariance is built in closed form over the whole grid. The
+sampler draws each block from one factor of that covariance, so the
+sampled law is this law and the additive identities between drivers hold
+exactly by construction. Also the linear stochastic Volterra solves for
+(Shat, Ehat, Ihat, Rhat) and the Markovian SIS SDE cross-check.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from .agent_sim import ModelSpec
 from .distributions import Deterministic, JointDurationDist, grid_step, tabulate_kernels
@@ -34,57 +38,36 @@ __all__ = [
     "solve_fclt_path",
 ]
 
-DRIVER_IDS = {
-    "SIS": ("MA", "I0", "I1", "R0", "R1"),
-    "SIR": ("MA", "I0", "I1", "R0", "R1"),
-    "SEIR": ("MA", "E1", "L1", "I1", "R1", "I01", "R01", "E0", "L0", "I02", "R02"),
-    "SIRS": ("MA", "I0", "I1", "R01", "R02", "R1"),
+# Every driver is a fixed linear combination of the base processes of one
+# independent block: driver id -> (block, coefficients on its base processes).
+# "W" is the white-noise block of new infections. Its base processes count
+# the infections by t (MA), those past stage 1 by t ("onset", two-stage kinds
+# only) and those past every stage by t ("both"); one-stage kinds have the
+# bases (MA, both), two-stage kinds (MA, onset, both). An initial pool is
+# named by its mass in ModelSpec. A one-process pool counts the members whose
+# residual period (law f0) is still running. A two-process pool counts the
+# members in stage 1 and in stage 2 of the joint residual law h0.
+_ONE_STAGE = {"MA": ("W", (1, 0)), "I0": ("i0", (1,)), "I1": ("W", (1, -1)),
+              "R0": ("i0", (-1,)), "R1": ("W", (0, 1))}
+_LAW = {
+    "SIS": _ONE_STAGE,
+    "SIR": _ONE_STAGE,
+    "SEIR": {"MA": ("W", (1, 0, 0)), "E1": ("W", (1, -1, 0)), "L1": ("W", (0, 1, 0)),
+             "I1": ("W", (0, 1, -1)), "R1": ("W", (0, 0, 1)),
+             "I01": ("i0", (1,)), "R01": ("i0", (-1,)),
+             "E0": ("e0", (1, 0)), "L0": ("e0", (-1, 0)), "I02": ("e0", (0, 1)),
+             "R02": ("e0", (-1, -1))},
+    "SIRS": {"MA": ("W", (1, 0, 0)), "I0": ("i0", (1, 0)), "I1": ("W", (1, -1, 0)),
+             "R01": ("i0", (0, 1)), "R02": ("r0", (1,)), "R1": ("W", (0, 1, -1))},
 }
+DRIVER_IDS = {kind: tuple(law) for kind, law in _LAW.items()}
 
 _POINT_AT_ZERO = Deterministic(0.0)
 
-# Post-infection drivers as constraints on (onset epoch a, settle epoch c)
-# relative to the probe time. For one-stage kinds a is the infection time
-# itself; for SIRS a is the recovery epoch and c the end of immunity.
-_W_REGION = {
-    ("SIR", "MA"): (),
-    ("SIR", "I1"): ("a_le", "c_gt"),
-    ("SIR", "R1"): ("a_le", "c_le"),
-    ("SEIR", "MA"): (),
-    ("SEIR", "E1"): ("a_gt",),
-    ("SEIR", "L1"): ("a_le",),
-    ("SEIR", "I1"): ("a_le", "c_gt"),
-    ("SEIR", "R1"): ("a_le", "c_le"),
-    ("SIRS", "MA"): (),
-    ("SIRS", "I1"): ("a_gt",),
-    ("SIRS", "R1"): ("a_le", "c_gt"),
-}
-_W_REGION.update({("SIS", d): r for (m, d), r in list(_W_REGION.items()) if m == "SIR"})
-
-# Initial-pool roles: single residual period (i = still running, r = done)
-# and two consecutive stages (e = in stage 1, i = in stage 2, r = done).
-_RESIDUAL_ROLE = {"I0": "i", "R0": "r", "I01": "i", "R01": "r"}
-_STAGE_ROLE = {
-    "SEIR": {"E0": ("e", 1.0), "L0": ("e", -1.0), "I02": ("i", 1.0), "R02": ("r", 1.0)},
-    "SIRS": {"I0": ("e", 1.0), "R01": ("i", 1.0)},
-}
-
-
-def _block(kind: str, x: str) -> str:
-    ids = DRIVER_IDS.get(kind)
-    if ids is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    if x not in ids:
-        raise ValueError(f"driver {x!r} is not defined for {kind}")
-    if kind in ("SIS", "SIR"):
-        return "W" if x in ("MA", "I1", "R1") else "init_i"
-    if kind == "SEIR":
-        if x in ("MA", "E1", "L1", "I1", "R1"):
-            return "W"
-        return "init_i" if x in ("I01", "R01") else "init_e"
-    if x in ("MA", "I1", "R1"):
-        return "W"
-    return "init_i" if x in ("I0", "R01") else "init_r"
+# Largest norm, relative to the largest variance, of the Schur complement
+# that a pivoted Cholesky factor may leave out: far above the rounding of a
+# PSD block, far below anything a sample can resolve.
+_PSD_RTOL = 1e-8
 
 
 @dataclass
@@ -154,13 +137,17 @@ def _two_time_values(h: JointDurationDist, grid, delta_idx: int, mode: str) -> n
 
 
 class DriverCovariance:
-    """Closed-form covariance of the limit drivers on the fluid grid.
+    """The law of the limit drivers on the fluid grid.
 
-    The W-driven block is the intensity measure of rectangle intersections
-    in (infection time, onset epoch, settle epoch) space; initial-condition
-    blocks come from per-individual indicator moments. Cross-block
-    covariances are exactly zero. Evaluation is pure and cached, so one
-    instance can serve many sampling calls concurrently.
+    Each driver is a fixed linear combination of the base processes of one
+    independent block (the table ``_LAW``). The W block's covariance is the
+    infection intensity q(s) ds integrated against the joint law of one
+    individual's stage epochs; an initial pool's covariance comes from its
+    members' residual-stage indicators. Each block's base covariance over
+    every grid node is built on first use and cached. ``cov`` and ``matrix``
+    read it through the coefficient table, and ``sample_drivers`` draws from
+    a factor of it, so the sampled law is this law. Cross-block covariances
+    are exactly zero.
     """
 
     def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
@@ -178,15 +165,10 @@ class DriverCovariance:
         self.qpath = spec.lam_on_grid(self.grid) * fluid.S * fluid.I
         if self.kind in ("SIS", "SIR"):
             self._h = JointDurationDist(g=_POINT_AT_ZERO, f=spec.f)
-            self._h0 = None
-            self.kernels = None
         else:
             self._h = spec.h
             self._h0 = spec.h0 if spec.h0 is not None else spec.h
-            self.kernels = tabulate_kernels(spec.h, self._h0, self.grid)
-        self._cache: dict = {}
-
-    # -- grid helpers --------------------------------------------------------
+        self._blocks: dict = {}
 
     def _node(self, t) -> int:
         k = int(round(float(t) / self.dt))
@@ -194,339 +176,187 @@ class DriverCovariance:
             raise ValueError(f"time {t} is not a node of the tabulation grid")
         return k
 
-    def _two_time(self, law_tag: str, delta_idx: int, mode: str) -> np.ndarray:
-        key = (law_tag, int(delta_idx), mode)
-        hit = self._cache.get(key)
+    def _law(self, x: str) -> tuple:
+        law = _LAW[self.kind].get(x)
+        if law is None:
+            raise ValueError(f"driver {x!r} is not defined for {self.kind}")
+        return law
+
+    def _base(self, block: str) -> np.ndarray:
+        """Covariance of the block's base processes: [a, i, b, j] is
+        Cov(base a at t_i, base b at t_j) over every grid node."""
+        hit = self._blocks.get(block)
         if hit is None:
-            h = self._h if law_tag == "h" else self._h0
-            hit = _two_time_values(h, self.grid, int(delta_idx), mode)
-            self._cache[key] = hit
+            hit = self._w_block() if block == "W" else self._pool_block(block)
+            self._blocks[block] = hit
         return hit
 
-    # -- public evaluation ---------------------------------------------------
-
     def cov(self, x: str, t, y: str, tp) -> float:
-        bx, by = _block(self.kind, x), _block(self.kind, y)
+        (bx, cx), (by, cy) = self._law(x), self._law(y)
         it, ip = self._node(t), self._node(tp)
         if bx != by:
             return 0.0
-        if bx == "W":
-            return self._w_cov(x, it, y, ip)
-        return self._init_cov(bx, x, it, y, ip)
+        return float(np.array(cx, float) @ self._base(bx)[:, it, :, ip] @ np.array(cy, float))
 
     def matrix(self, pairs) -> np.ndarray:
         """Joint covariance matrix over (driver, time) pairs."""
-        m = len(pairs)
-        out = np.empty((m, m))
-        for i, (x, t) in enumerate(pairs):
-            for j in range(i, m):
-                y, tp = pairs[j]
-                out[i, j] = out[j, i] = self.cov(x, t, y, tp)
+        laws = [self._law(x) for x, _ in pairs]
+        nodes = np.array([self._node(t) for _, t in pairs], dtype=int)
+        out = np.zeros((len(pairs), len(pairs)))
+        for block in dict.fromkeys(b for b, _ in laws):
+            sel = np.array([i for i, (b, _) in enumerate(laws) if b == block])
+            coef = np.array([laws[i][1] for i in sel], dtype=float)
+            k = nodes[sel]
+            base = self._base(block)[:, k][:, :, :, k]
+            out[np.ix_(sel, sel)] = np.einsum("pa,apbq,qb->pq", coef, base, coef)
+        return np.triu(out) + np.triu(out, 1).T
+
+    def _w_block(self) -> np.ndarray:
+        """Base covariance of W, over the levels (MA, both) or (MA, onset, both).
+
+        Level l counts the infections by t that have also passed l stages by
+        t. For t_i <= t_j, Cov(level l at t_i, level l' at t_j) is the
+        trapezoid integral over s <= t_i of q(s) P(l stages by t_i - s and l'
+        stages by t_j - s), for one individual infected at time 0; when
+        l >= l' that probability is P(l stages by t_i - s).
+        """
+        n, dt, q = self.n, self.dt, self.qpath
+        k = np.arange(n)
+        lag = k[None, :] - k[:, None]
+        ahead = lag >= 0  # [i, j]: t_i <= t_j
+        lag[~ahead] = 0
+
+        def integrate(kernel):
+            # [i, j] = int_0^{t_i} q(s) kernel(t_j - s) ds for t_i <= t_j
+            m = np.where(ahead, q[:, None] * kernel[lag], 0.0)
+            return dt * (np.cumsum(m, axis=0) - 0.5 * m[0] - 0.5 * m)
+
+        both = _two_time_values(self._h, self.grid, 0, "cdf")  # P(both stages by lag)
+        if self.kind in ("SIS", "SIR"):
+            kernels = [np.ones(n), both]
+        else:
+            kernels = [np.ones(n), np.asarray(self._h.g.cdf(k * dt), dtype=float), both]
+            # [i, j] = int_0^{t_i} q(s) P(onset by t_i - s, both by t_j - s) ds
+            pair = np.zeros((n, n))
+            for delta in range(n):
+                tt = _two_time_values(self._h, self.grid, delta, "cdf")[: n - delta]
+                i = k[: n - delta]
+                conv = np.convolve(q[: n - delta], tt)[: n - delta]
+                pair[i, i + delta] = dt * (conv - 0.5 * q[0] * tt - 0.5 * q[i] * tt[0])
+        tables = [integrate(kernel) for kernel in kernels]
+        diag = [np.diagonal(table) for table in tables]
+        m = len(kernels)
+        out = np.empty((m, n, m, n))
+        for x in range(m):
+            for y in range(x, m):
+                upper = tables[y] if x == 0 else pair if x < y else diag[x][:, None]
+                blk = np.where(ahead, upper, diag[y][None, :])
+                out[x, :, y, :] = blk
+                out[y, :, x, :] = blk.T
         return out
 
-    # -- W block: rectangle intersection measure -------------------------------
-
-    def _w_cov(self, x: str, it: int, y: str, ip: int) -> float:
-        lo = min(it, ip)
-        if lo == 0:
-            return 0.0
-        a_lo = a_hi = c_lo = c_hi = None
-        for drv, tau in ((x, it), (y, ip)):
-            for c in _W_REGION[(self.kind, drv)]:
-                if c == "a_gt":
-                    a_lo = tau if a_lo is None else max(a_lo, tau)
-                elif c == "a_le":
-                    a_hi = tau if a_hi is None else min(a_hi, tau)
-                elif c == "c_gt":
-                    c_lo = tau if c_lo is None else max(c_lo, tau)
-                else:
-                    c_hi = tau if c_hi is None else min(c_hi, tau)
-        if a_lo is not None and a_hi is not None and a_lo >= a_hi:
-            return 0.0
-        if c_lo is not None and c_hi is not None and c_lo >= c_hi:
-            return 0.0
-        s = np.arange(lo + 1)
-        # inclusion-exclusion of P(a in (a_lo, a_hi], c in (c_lo, c_hi]);
-        # absent lower bounds drop their terms, absent upper bounds cap at
-        # the law's own support.
-        w = self._t_corner(a_hi, c_hi, s)
-        if a_lo is not None:
-            w = w - self._t_corner(a_lo, c_hi, s)
-        if c_lo is not None:
-            w = w - self._t_corner(a_hi, c_lo, s)
-            if a_lo is not None:
-                w = w + self._t_corner(a_lo, c_lo, s)
-        integrand = self.qpath[: lo + 1] * w
-        total = integrand.sum() - 0.5 * (integrand[0] + integrand[-1])
-        return float(self.dt * total)
-
-    def _t_corner(self, alpha, beta, s) -> np.ndarray:
-        """T(alpha - s, beta - s) where T(a, c) is the joint cdf of the onset
-        and settle epochs of one individual infected at time 0; a bound of
-        None means +infinity."""
-        if beta is None:
-            if alpha is None:
-                return np.ones(len(s))
-            u = alpha - s
-            vals = np.asarray(self._h.g.cdf(u * self.dt), dtype=float)
-            return np.where(u >= 0, vals, 0.0)
-        if alpha is None:
-            alpha = beta  # the onset integral self-caps at the settle bound
-        arr = self._two_time("h", beta - alpha, "cdf")
-        u = alpha - s
-        out = np.zeros(len(s))
-        ok = u >= 0
-        out[ok] = arr[u[ok]]
-        return out
-
-    # -- initial-condition blocks ----------------------------------------------
-
-    def _init_cov(self, block: str, x: str, it: int, y: str, ip: int) -> float:
-        spec = self.spec
-        ta, tb = it * self.dt, ip * self.dt
-        if block == "init_r":
-            if spec.r0 <= 0:
-                return 0.0
-            sf = spec.f0.sf
-            return spec.r0 * float(sf(max(ta, tb)) - sf(ta) * sf(tb))
-        if block == "init_i" and self.kind != "SIRS":
-            if spec.i0 <= 0:
-                return 0.0
-            return spec.i0 * _residual_cov(
-                spec.f0, _RESIDUAL_ROLE[x], ta, _RESIDUAL_ROLE[y], tb)
-        mass = spec.e0 if self.kind == "SEIR" else spec.i0
+    def _pool_block(self, block: str) -> np.ndarray:
+        """Base covariance of the initial pool whose mass is spec.<block>."""
+        n, spec = self.n, self.spec
+        width = next(len(c) for b, c in _LAW[self.kind].values() if b == block)
+        mass = getattr(spec, block)
         if mass <= 0:
-            return 0.0
-        roles = _STAGE_ROLE[self.kind]
-        ra, sa = roles[x]
-        rb, sb = roles[y]
-        m2 = self._stage_moment(ra, it, rb, ip)
-        m1 = self._stage_mean(ra, it) * self._stage_mean(rb, ip)
-        return mass * sa * sb * (m2 - m1)
-
-    def _stage_mean(self, role: str, k: int) -> float:
-        if role == "e":
-            return float(self._h0.g.sf(k * self.dt))
-        mode = "sf" if role == "i" else "cdf"
-        return float(self._two_time("h0", 0, mode)[k])
-
-    def _stage_moment(self, ra: str, ka: int, rb: str, kb: int) -> float:
-        """E[x y'] for indicator states of (stage 1, stage 1 + stage 2)."""
-        lo, hi = min(ka, kb), max(ka, kb)
-        if ra == rb:
-            if ra == "e":
-                return float(self._h0.g.sf(hi * self.dt))
-            if ra == "i":
-                return float(self._two_time("h0", hi - lo, "sf")[lo])
-            return float(self._two_time("h0", 0, "cdf")[lo])
-        if "e" in (ra, rb):
-            te, ro, to = (ka, rb, kb) if ra == "e" else (kb, ra, ka)
-            if to <= te:
-                return 0.0
-            mode = "sf" if ro == "i" else "cdf"
-            at_to = float(self._two_time("h0", 0, mode)[to])
-            return at_to - float(self._two_time("h0", to - te, mode)[te])
-        ti, tr = (ka, kb) if ra == "i" else (kb, ka)
-        if tr < ti:
-            return 0.0
-        phi_ti = float(self._two_time("h0", 0, "cdf")[ti])
-        return float(self._two_time("h0", tr - ti, "cdf")[ti]) - phi_ti
-
-
-def _residual_cov(f0, ra: str, ta: float, rb: str, tb: float) -> float:
-    """Per-individual Cov of still-running/done indicators of one period."""
-    if ra == rb:
-        m2 = float(f0.sf(max(ta, tb))) if ra == "i" else float(f0.cdf(min(ta, tb)))
-    else:
-        ti, tr = (ta, tb) if ra == "i" else (tb, ta)
-        m2 = float(f0.cdf(tr) - f0.cdf(ti)) if tr > ti else 0.0
-    mean = {"i": f0.sf, "r": f0.cdf}
-    return m2 - float(mean[ra](ta)) * float(mean[rb](tb))
+            return np.zeros((width, n, width, n))
+        t = np.arange(n) * self.dt
+        if width == 1:  # still running: E[x(t) x(t')] = sf(max(t, t'))
+            sf = np.asarray(spec.f0.sf(t), dtype=float)
+            c = np.minimum.outer(sf, sf) - np.outer(sf, sf)
+            return (mass * c)[None, :, None, :]
+        # in stage 1 (e) and in stage 2 (i) of h0
+        g0sf = np.asarray(self._h0.g.sf(t), dtype=float)
+        tails = [_two_time_values(self._h0, self.grid, d, "sf") for d in range(n)]
+        psi0 = tails[0]
+        m_ii = np.empty((n, n))
+        m_ei = np.zeros((n, n))
+        for d, arr in enumerate(tails):
+            sl = np.arange(n - d)
+            m_ii[sl, sl + d] = arr[: n - d]
+            m_ii[sl + d, sl] = arr[: n - d]
+            if d > 0:
+                m_ei[sl, sl + d] = psi0[sl + d] - arr[: n - d]
+        c_ei = m_ei - np.outer(g0sf, psi0)
+        out = np.empty((2, n, 2, n))
+        out[0, :, 0] = np.minimum.outer(g0sf, g0sf) - np.outer(g0sf, g0sf)
+        out[0, :, 1] = c_ei
+        out[1, :, 0] = c_ei.T
+        out[1, :, 1] = m_ii - np.outer(psi0, psi0)
+        return mass * out
 
 
 # ----------------------------------------------------------------- sampling
 
 
 def _chol_psd(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    eye = np.eye(len(mat))
-    for eps in (0.0, 1e-12, 1e-10, 1e-8):
-        try:
-            return np.linalg.cholesky(mat + eps * eye if eps else mat)
-        except np.linalg.LinAlgError:
-            continue
-    mineig = float(np.linalg.eigvalsh(mat)[0])
-    raise RuntimeError(
-        f"{label} covariance block is indefinite beyond the jitter budget "
-        f"(min eigenvalue {mineig:.3e})"
-    )
+    """Factor L, (m, rank), with L @ L.T == mat for a PSD covariance block.
 
-
-def _w_cell_sd_2d(cov: DriverCovariance) -> np.ndarray:
-    """Cell std devs over (source cell, settle bucket) for one-stage kinds.
-
-    Settle bucket ii covers (t_{ii-1}, t_ii]; bucket 0 catches an atom
-    sitting exactly at the source node and the last index is the
-    beyond-horizon tail.
+    Pivoted Cholesky stops at the numerical rank, so singular blocks (the
+    t = 0 rows of the initial pools, deterministic clocks, instant stages)
+    are factored exactly, with nothing added to the diagonal. The Schur
+    complement it leaves out must be rounding noise; a block that is
+    indefinite beyond that raises with its minimum eigenvalue.
     """
-    dt, n = cov.dt, cov.n
-    fv = np.asarray(cov.spec.f.cdf(np.arange(n) * dt), dtype=float)
-    fv_ext = np.concatenate(([0.0], fv))  # fv_ext[m + 1] = F(m dt), F(<0) = 0
+    mat = np.asarray(mat, dtype=float)
+    # factor a Fortran-ordered copy in place: LAPACK's own copy of a C array is slower
+    low, piv, rank, _ = dpstrf(np.array(mat, order="F"), lower=1, overwrite_a=True)
+    low = low[:, :rank]
+    low *= np.tri(*low.shape, dtype=bool)  # dpstrf leaves the upper triangle as it was
+    order = piv - 1
+    rest = mat[np.ix_(order[rank:], order[rank:])] - low[rank:] @ low[rank:].T
+    if rest.size and np.abs(rest).sum(axis=1).max() > _PSD_RTOL * np.max(np.diag(mat)):
+        mineig = float(np.linalg.eigvalsh(mat)[0])
+        raise RuntimeError(
+            f"{label} covariance block is indefinite beyond rounding "
+            f"(min eigenvalue {mineig:.3e})"
+        )
+    fac = np.empty(low.shape)
+    fac[order] = low
+    return fac
 
-    lags = np.arange(n)[:, None]
-    ii = np.arange(n + 1)[None, :]
-    rel = ii - lags
-    d = fv_ext[np.clip(rel + 1, 0, n)] - fv_ext[np.clip(rel, 0, n)]
-    d[:, n] = 1.0 - fv_ext[n - lags[:, 0]]
-    q = cov.qpath
-    var = 0.5 * dt * (q[: n - 1, None] * d[: n - 1] + q[1:, None] * d[1:])
-    return np.sqrt(np.clip(var, 0.0, None))
 
-
-def _w_cell_sd_3d(cov: DriverCovariance) -> np.ndarray:
-    """Cell std devs over (source cell, onset bucket, settle bucket)."""
-    dt, n = cov.dt, cov.n
-    # tt[p, q] = P(stage1 <= p dt, stage1 + stage2 <= q dt) for one individual
-    tt = np.zeros((n, n))
-    for delta in range(-(n - 1), n):
-        arr = cov._two_time("h", delta, "cdf")
-        p = np.arange(max(0, -delta), n - max(0, delta))
-        tt[p, p + delta] = arr[p]
-    vv = np.empty((n, n))
-    vv[0, 0] = tt[0, 0]
-    vv[0, 1:] = tt[0, 1:] - tt[0, :-1]
-    vv[1:, 0] = tt[1:, 0] - tt[:-1, 0]
-    vv[1:, 1:] = tt[1:, 1:] - tt[1:, :-1] - tt[:-1, 1:] + tt[:-1, :-1]
-    cum_v = np.cumsum(vv, axis=1)
-    gc = np.asarray(cov._h.g.cdf(cov.grid), dtype=float)
-    pg = np.empty(n)
-    pg[0] = gc[0]
-    pg[1:] = np.diff(gc)
-
-    prob = np.zeros((n, n + 1, n + 1))
-    for l in range(n):
-        w = n - l  # finite buckets reachable from source node l
-        prob[l, l:n, l:n] = vv[:w, :w]
-        prob[l, l:n, n] = pg[:w] - cum_v[:w, w - 1]
-        prob[l, n, n] = 1.0 - gc[w - 1]
-    q = cov.qpath
-    var = 0.5 * dt * (q[: n - 1, None, None] * prob[: n - 1] + q[1:, None, None] * prob[1:])
-    return np.sqrt(np.clip(var, 0.0, None))
+def _first_equal_row(mat: np.ndarray) -> np.ndarray:
+    """out[i] = the first index whose row of mat is bitwise equal to row i."""
+    out = np.arange(len(mat))
+    _, inverse, counts = np.unique(np.diagonal(mat), return_inverse=True, return_counts=True)
+    cand = np.flatnonzero(counts[inverse] > 1)  # equal rows have equal variances
+    rows = np.ascontiguousarray(mat[cand]).view(np.dtype((np.void, 8 * mat.shape[1])))
+    _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    out[cand] = cand[first[inv]]
+    return out
 
 
 def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
     """Sample joint driver paths on the covariance grid.
 
-    W-driven drivers are aggregated from independent Gaussian cell
-    increments, so their additive identities hold exactly on every path;
-    initial-condition drivers come from a block Cholesky factor and are
-    independent of the W block. Returns {driver id: (paths, len(grid))}.
+    Each independent block of ``cov`` is factored once, over every grid
+    node, and all paths of its base processes come from one GEMM of
+    standard normals against that factor. Every driver is then its fixed
+    combination of its block's base paths, so the additive identities
+    (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold exactly on each path.
+    W drivers are exactly 0 at t = 0. Returns {driver id: (paths, len(grid))}.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) != cov.n or np.max(np.abs(grid - cov.grid)) > 1e-9:
         raise ValueError("sampling grid must match the covariance grid")
-    kind, spec, n = cov.kind, cov.spec, cov.n
-    out = {d: np.zeros((paths, n)) for d in DRIVER_IDS[kind]}
-    ks = np.arange(n - 1)
-
-    if kind in ("SIS", "SIR"):
-        sd = _w_cell_sd_2d(cov)
-        batch = max(1, min(paths, 8_000_000 // sd.size))
-        done = 0
-        while done < paths:
-            b = min(batch, paths - done)
-            z = rng.standard_normal((b,) + sd.shape)
-            z *= sd[None]
-            np.cumsum(z, axis=1, out=z)
-            np.cumsum(z, axis=2, out=z)
-            sl = slice(done, done + b)
-            out["MA"][sl, 1:] = z[:, ks, n]
-            out["R1"][sl, 1:] = z[:, ks, ks + 1]
-            done += b
-        out["I1"] = out["MA"] - out["R1"]
-    else:
-        sd = _w_cell_sd_3d(cov)
-        batch = max(1, min(paths, 8_000_000 // sd.size))
-        onset = np.zeros((paths, n))  # past stage 1 by t
-        both = np.zeros((paths, n))  # past both stages by t
-        done = 0
-        while done < paths:
-            b = min(batch, paths - done)
-            z = rng.standard_normal((b,) + sd.shape)
-            z *= sd[None]
-            tot = z.sum(axis=(2, 3))
-            np.cumsum(tot, axis=1, out=tot)
-            pjm = z.sum(axis=3)
-            np.cumsum(pjm, axis=1, out=pjm)
-            np.cumsum(pjm, axis=2, out=pjm)
-            np.cumsum(z, axis=1, out=z)
-            np.cumsum(z, axis=2, out=z)
-            np.cumsum(z, axis=3, out=z)
-            sl = slice(done, done + b)
-            out["MA"][sl, 1:] = tot[:, ks]
-            onset[sl, 1:] = pjm[:, ks, ks + 1]
-            both[sl, 1:] = z[:, ks, ks + 1, ks + 1]
-            done += b
-        if kind == "SEIR":
-            out["E1"] = out["MA"] - onset
-            out["L1"] = onset
-            out["I1"] = onset - both
-            out["R1"] = both
-        else:  # SIRS: stage 1 = infectious, stage 2 = immune
-            out["I1"] = out["MA"] - onset
-            out["R1"] = onset - both
-
-    if kind in ("SIS", "SIR") and spec.i0 > 0:
-        z = rng.standard_normal((paths, n)) @ _residual_chol(spec.f0, spec.i0, grid).T
-        out["I0"] = z
-        out["R0"] = -z
-    if kind == "SEIR":
-        if spec.i0 > 0:
-            z = rng.standard_normal((paths, n)) @ _residual_chol(spec.f0, spec.i0, grid).T
-            out["I01"] = z
-            out["R01"] = -z
-        if spec.e0 > 0:
-            lfac = _chol_psd(_stage_joint_cov(cov, spec.e0), "initial-exposed")
-            z = rng.standard_normal((paths, 2 * n)) @ lfac.T
-            out["E0"], out["I02"] = z[:, :n], z[:, n:]
-            out["L0"] = -out["E0"]
-            out["R02"] = -out["E0"] - out["I02"]
-    if kind == "SIRS":
-        if spec.i0 > 0:
-            lfac = _chol_psd(_stage_joint_cov(cov, spec.i0), "initial-infectious")
-            z = rng.standard_normal((paths, 2 * n)) @ lfac.T
-            out["I0"], out["R01"] = z[:, :n], z[:, n:]
-        if spec.r0 > 0:
-            out["R02"] = rng.standard_normal((paths, n)) @ _residual_chol(
-                spec.f0, spec.r0, grid).T
-    return out
-
-
-def _residual_chol(f0, mass: float, grid) -> np.ndarray:
-    sf0 = np.asarray(f0.sf(grid), dtype=float)
-    m = mass * (np.minimum.outer(sf0, sf0) - np.outer(sf0, sf0))
-    return _chol_psd(m, "initial-pool")
-
-
-def _stage_joint_cov(cov: DriverCovariance, mass: float) -> np.ndarray:
-    """Joint covariance of (in stage 1, in stage 2) indicator sums."""
-    n = cov.n
-    g0sf = np.asarray(cov._h0.g.sf(cov.grid), dtype=float)
-    psi0 = cov._two_time("h0", 0, "sf")
-    m_ee = np.minimum.outer(g0sf, g0sf)
-    m_ii = np.empty((n, n))
-    m_ei = np.zeros((n, n))
-    for d in range(n):
-        arr = cov._two_time("h0", d, "sf")
-        sl = np.arange(n - d)
-        m_ii[sl, sl + d] = arr[: n - d]
-        m_ii[sl + d, sl] = arr[: n - d]
-        if d > 0:
-            m_ei[sl, sl + d] = psi0[sl + d] - arr[: n - d]
-    c_ee = m_ee - np.outer(g0sf, g0sf)
-    c_ei = m_ei - np.outer(g0sf, psi0)
-    c_ii = m_ii - np.outer(psi0, psi0)
-    return mass * np.block([[c_ee, c_ei], [c_ei.T, c_ii]])
+    law, n = _LAW[cov.kind], cov.n
+    out = {}
+    for block in dict.fromkeys(b for b, _ in law.values()):
+        base = cov._base(block)
+        width = base.shape[0]
+        flat = base.reshape(width * n, width * n)
+        fac = _chol_psd(flat, f"{cov.kind} {block}")
+        z = rng.standard_normal((paths, fac.shape[1])) @ fac.T
+        # Equal rows are one random variable: copying its column keeps it
+        # bitwise equal, e.g. exactly flat where no one can change state.
+        z = z[:, _first_equal_row(flat)].reshape(paths, width, n)
+        for d, (b, coef) in law.items():
+            if b == block:
+                out[d] = sum(c * z[:, a] for a, c in enumerate(coef) if c)
+    return {d: out[d] for d in law}
 
 
 # -------------------------------------------------------------- path solves
