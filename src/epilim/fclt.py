@@ -143,11 +143,13 @@ class DriverCovariance:
     independent block (the table ``_LAW``). The W block's covariance is the
     infection intensity q(s) ds integrated against the joint law of one
     individual's stage epochs; an initial pool's covariance comes from its
-    members' residual-stage indicators. Each block's base covariance over
-    every grid node is built on first use and cached. ``cov`` and ``matrix``
-    read it through the coefficient table, and ``sample_drivers`` draws from
-    a factor of it, so the sampled law is this law. Cross-block covariances
-    are exactly zero.
+    members' residual-stage indicators. Each block's base covariance is
+    built on first use, up to the latest node asked for, and cached. Over m
+    nodes it holds (width * m)**2 doubles, and a two-stage W block takes
+    O(m**3) time to build. ``cov`` and ``matrix`` read it through the
+    coefficient table, and ``sample_drivers`` draws from a factor of it over
+    every node, so the sampled law is this law. Cross-block covariances are
+    exactly zero.
     """
 
     def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
@@ -182,12 +184,18 @@ class DriverCovariance:
             raise ValueError(f"driver {x!r} is not defined for {self.kind}")
         return law
 
-    def _base(self, block: str) -> np.ndarray:
-        """Covariance of the block's base processes: [a, i, b, j] is
-        Cov(base a at t_i, base b at t_j) over every grid node."""
+    def _base(self, block: str, last: int) -> np.ndarray:
+        """Covariance of the block's base processes over the first nodes, at
+        least up to node last: [a, i, b, j] is Cov(base a at t_i, base b at t_j).
+
+        Its entries up to node m depend on the law up to t_m only, so a block
+        is built only as far as it is asked for, and at least doubles when a
+        later call asks for more.
+        """
         hit = self._blocks.get(block)
-        if hit is None:
-            hit = self._w_block() if block == "W" else self._pool_block(block)
+        if hit is None or hit.shape[1] <= last:
+            size = min(self.n, max(last + 1, 2 * (1 if hit is None else hit.shape[1])))
+            hit = self._w_block(size) if block == "W" else self._pool_block(block, size)
             self._blocks[block] = hit
         return hit
 
@@ -196,7 +204,8 @@ class DriverCovariance:
         it, ip = self._node(t), self._node(tp)
         if bx != by:
             return 0.0
-        return float(np.array(cx, float) @ self._base(bx)[:, it, :, ip] @ np.array(cy, float))
+        base = self._base(bx, max(it, ip))
+        return float(np.array(cx, float) @ base[:, it, :, ip] @ np.array(cy, float))
 
     def matrix(self, pairs) -> np.ndarray:
         """Joint covariance matrix over (driver, time) pairs."""
@@ -207,12 +216,13 @@ class DriverCovariance:
             sel = np.array([i for i, (b, _) in enumerate(laws) if b == block])
             coef = np.array([laws[i][1] for i in sel], dtype=float)
             k = nodes[sel]
-            base = self._base(block)[:, k][:, :, :, k]
+            base = self._base(block, k.max())[:, k][:, :, :, k]
             out[np.ix_(sel, sel)] = np.einsum("pa,apbq,qb->pq", coef, base, coef)
         return np.triu(out) + np.triu(out, 1).T
 
-    def _w_block(self) -> np.ndarray:
-        """Base covariance of W, over the levels (MA, both) or (MA, onset, both).
+    def _w_block(self, n: int) -> np.ndarray:
+        """Base covariance of W on the first n nodes, over the levels (MA,
+        both) or (MA, onset, both).
 
         Level l counts the infections by t that have also passed l stages by
         t. For t_i <= t_j, Cov(level l at t_i, level l' at t_j) is the
@@ -220,7 +230,7 @@ class DriverCovariance:
         stages by t_j - s), for one individual infected at time 0; when
         l >= l' that probability is P(l stages by t_i - s).
         """
-        n, dt, q = self.n, self.dt, self.qpath
+        dt, q, grid = self.dt, self.qpath[:n], self.grid[:n]
         k = np.arange(n)
         lag = k[None, :] - k[:, None]
         ahead = lag >= 0  # [i, j]: t_i <= t_j
@@ -231,7 +241,7 @@ class DriverCovariance:
             m = np.where(ahead, q[:, None] * kernel[lag], 0.0)
             return dt * (np.cumsum(m, axis=0) - 0.5 * m[0] - 0.5 * m)
 
-        both = _two_time_values(self._h, self.grid, 0, "cdf")  # P(both stages by lag)
+        both = _two_time_values(self._h, grid, 0, "cdf")  # P(both stages by lag)
         if self.kind in ("SIS", "SIR"):
             kernels = [np.ones(n), both]
         else:
@@ -239,7 +249,7 @@ class DriverCovariance:
             # [i, j] = int_0^{t_i} q(s) P(onset by t_i - s, both by t_j - s) ds
             pair = np.zeros((n, n))
             for delta in range(n):
-                tt = _two_time_values(self._h, self.grid, delta, "cdf")[: n - delta]
+                tt = _two_time_values(self._h, grid, delta, "cdf")[: n - delta]
                 i = k[: n - delta]
                 conv = np.convolve(q[: n - delta], tt)[: n - delta]
                 pair[i, i + delta] = dt * (conv - 0.5 * q[0] * tt - 0.5 * q[i] * tt[0])
@@ -255,9 +265,10 @@ class DriverCovariance:
                 out[y, :, x, :] = blk.T
         return out
 
-    def _pool_block(self, block: str) -> np.ndarray:
-        """Base covariance of the initial pool whose mass is spec.<block>."""
-        n, spec = self.n, self.spec
+    def _pool_block(self, block: str, n: int) -> np.ndarray:
+        """Base covariance, on the first n nodes, of the initial pool whose
+        mass is spec.<block>."""
+        spec = self.spec
         width = next(len(c) for b, c in _LAW[self.kind].values() if b == block)
         mass = getattr(spec, block)
         if mass <= 0:
@@ -269,7 +280,7 @@ class DriverCovariance:
             return (mass * c)[None, :, None, :]
         # in stage 1 (e) and in stage 2 (i) of h0
         g0sf = np.asarray(self._h0.g.sf(t), dtype=float)
-        tails = [_two_time_values(self._h0, self.grid, d, "sf") for d in range(n)]
+        tails = [_two_time_values(self._h0, self.grid[:n], d, "sf") for d in range(n)]
         psi0 = tails[0]
         m_ii = np.empty((n, n))
         m_ei = np.zeros((n, n))
@@ -345,7 +356,7 @@ def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
     law, n = _LAW[cov.kind], cov.n
     out = {}
     for block in dict.fromkeys(b for b, _ in law.values()):
-        base = cov._base(block)
+        base = cov._base(block, n - 1)
         width = base.shape[0]
         flat = base.reshape(width * n, width * n)
         fac = _chol_psd(flat, f"{cov.kind} {block}")

@@ -3,7 +3,6 @@ sampling, the fluctuation path solves, and the Markovian SIS SDE check."""
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from epilim import (
     Deterministic,
@@ -299,13 +298,9 @@ def test_sampled_driver_identities_hold_pathwise():
 
 
 def test_sampled_covariance_matches_analytic():
-    # Every driver at ten (t, t') probes: 220 correlated checks on one seed.
-    # A 3-SE band on each fails for about one seed in four on an exact
-    # sampler, so the band is a Bonferroni bound instead: an exact sampler
-    # breaks one of the 220 checks with probability <= 1e-3 (z = 4.58).
-    # The path counts are four times 6000/5000, so each band, z/2 = 2.29 SE
-    # of 6000/5000 paths, is narrower than 3 SE of those counts, and the
-    # 1e-6 SE floor keeps its absolute 3e-6.
+    # every driver, ten (t, t') probes, three standard-error bands. The 220
+    # checks share one seed, so an exact sampler fails about one seed in
+    # four at any path count; more paths only narrow each absolute band.
     cases = [
         (_sir_setup, 24000, [(0.25, 0.25), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0),
                              (0.5, 1.0), (0.25, 2.0), (1.0, 2.0), (1.5, 0.5),
@@ -317,11 +312,9 @@ def test_sampled_covariance_matches_analytic():
                               (0.5, 1.0), (0.3, 1.8), (1.0, 2.0), (1.5, 0.5),
                               (0.8, 1.2), (2.0, 1.6)]),
     ]
-    cases = [(setup()[1:], reps, probes) for setup, reps, probes in cases]
-    checks = sum(len(DRIVER_IDS[fl.kind]) * len(probes) for (fl, _), _, probes in cases)
-    z = float(norm.isf(1e-3 / (2 * checks)))
     rng = np.random.default_rng(2025)
-    for (fl, grid), reps, probes in cases:
+    for setup, reps, probes in cases:
+        _, fl, grid = setup()
         cov = DriverCovariance(fl)
         dr = sample_drivers(cov, grid, rng, paths=reps)
         nodes = {t: int(round(t / cov.dt)) for t, _ in probes}
@@ -333,7 +326,7 @@ def test_sampled_covariance_matches_analytic():
                 emp = float(np.dot(a - a.mean(), b - b.mean()) / (reps - 1))
                 ana = cov.cov(d, t, d, tp)
                 se = _cov_se(cov.cov(d, t, d, t), cov.cov(d, tp, d, tp), ana, reps)
-                assert abs(emp - ana) <= max(z * se, 3e-6), (fl.kind, d, t, tp)
+                assert abs(emp - ana) <= 3.0 * max(se, 1e-6), (fl.kind, d, t, tp)
 
 
 def test_sampled_cross_driver_covariance():
