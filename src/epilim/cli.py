@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -299,18 +298,19 @@ def load_config(path, engine=None) -> ExperimentConfig:
 # artifact writers
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+_CSV_BLOCK_ROWS = 1000
 
 
 def _write_csv(path, header, columns):
+    """Integers as str(int), floats as repr(float): the shortest string that
+    reads back to the same double. Rows are formatted in blocks, so that
+    only one block of Python objects is alive at a time."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[lo : lo + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*block)))
 
 
 def _jsonable(o):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 from scipy import stats as st
+from scipy.fft import next_fast_len
 
 __all__ = [
     "DurationDist",
@@ -634,13 +635,28 @@ def _merge_atoms(pairs):
     return tuple(sorted((loc, j) for loc, j in acc.items() if abs(j) > 1e-15))
 
 
+def _conv_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """First m entries of the full linear convolution of a and b along the
+    last axis, by FFT in O(N log N). a's leading axes broadcast against b's.
+
+    Rounding is absolute, a few eps times the largest output, where a direct
+    sum of nonnegative terms is accurate entry by entry.
+    """
+    a, b = a[..., :m], b[..., :m]  # later entries reach no output below m
+    size = next_fast_len(a.shape[-1] + b.shape[-1] - 1, real=True)
+    spec = np.fft.rfft(b, size)
+    spec *= np.fft.rfft(a, size)  # in place: one spectrum buffer fewer at the peak
+    return np.fft.irfft(spec, size)[..., :m]
+
+
 def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray) -> np.ndarray:
     """Phi(t_k) = int F(t_k - u | u) dG(u) on the grid.
 
     Atom masses of G and (independent case) of F are peeled off and added
     exactly; the continuous-by-continuous part uses product-trapezoidal
     Stieltjes sums, which stay second order because all integrands are
-    piecewise smooth between the (exactly handled) atoms.
+    piecewise smooth between the (exactly handled) atoms. Each sum is one
+    FFT convolution (_conv_head) per law or bucket.
     """
     g = joint.g
     g_atoms = g.atoms()
@@ -656,8 +672,7 @@ def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray) -> np.ndarray:
         # trapezoid of F_c(t_k - u) against the continuous G mass in `weights`
         fc = fdist.cdf_continuous(grid)
         w = 0.5 * (fc[1:] + fc[:-1])
-        conv = np.convolve(w, weights)
-        phi[1:] += conv[: k - 1]
+        phi[1:] += _conv_head(w, weights, k - 1)
         # atoms of F against the continuous part of G: exact term G_c(t - b)
         for b, jb in fdist.atoms():
             mask = grid >= b

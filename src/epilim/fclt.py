@@ -373,10 +373,16 @@ def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
 # -------------------------------------------------------------- path solves
 
 
+# Doubles per conv_full call in _rows_conv: its FFT buffers, a few times this
+# size, stay small next to the path bundle, so many paths add no memory peak.
+_ROW_BLOCK_DOUBLES = 1 << 15
+
+
 def _rows_conv(ker: ConvKernel, r: np.ndarray, dt: float) -> np.ndarray:
     out = np.empty_like(r)
-    for p in range(r.shape[0]):
-        out[p] = conv_full(ker, r[p], dt)
+    rows = max(1, _ROW_BLOCK_DOUBLES // r.shape[1])
+    for p in range(0, r.shape[0], rows):
+        out[p : p + rows] = conv_full(ker, r[p : p + rows], dt)
     return out
 
 

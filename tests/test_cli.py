@@ -1,5 +1,6 @@
 """Config parsing, engine dispatch, artifacts, and exit codes."""
 
+import csv
 import json
 import os
 
@@ -128,6 +129,39 @@ def test_simulate_engine_and_determinism(tmp_path):
     m1 = json.loads((tmp_path / "one" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "two" / "manifest.json").read_text())
     assert m1["config_sha256"] == m2["config_sha256"]
+
+
+def _write_csv_by_rows(path, header, columns):
+    # reference: one csv.writer row per grid node, each cell formatted alone
+    def fmt(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([fmt(v) for v in row])
+
+
+def test_csv_bytes_match_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 2503  # three blocks, the last one partial
+    special = [-0.0, 0.0, 1e-300, 5e-324, 2.5e-310, np.inf, -np.inf, np.nan,
+               1.0 / 3.0, 1e16, 123456789.0, -2.0**-1074]
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[: len(special)] = special
+    counts = rng.integers(-10**15, 10**15, n)
+    columns = (np.linspace(0.0, 25.0, n), counts, floats,
+               (counts % 1000).astype(np.int32),
+               rng.standard_normal(n).astype(np.float32))
+    header = ("t", "S", "E", "I", "R")
+    cli._write_csv(str(tmp_path / "blocks.csv"), header, columns)
+    _write_csv_by_rows(str(tmp_path / "rows.csv"), header, columns)
+    got = (tmp_path / "blocks.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\n") == n + 1 and b",-0.0," in got and b",nan," in got
 
 
 def test_output_directory_guard_and_env_override(tmp_path, monkeypatch):

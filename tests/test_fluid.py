@@ -123,6 +123,47 @@ def test_rk4_oracle_properties():
     assert abs(ode.I[-1] - 0.5) < 1e-6  # endemic level 1 - mu/lam
 
 
+def _rk4_arrays(kind, lam, gamma, mu, u0, grid):
+    # reference: RK4 on numpy state vectors, in the solver's operation order
+    def vf(u):
+        s, e, i, r = u
+        inf = lam * s * i
+        if kind == "SIS":
+            return np.array([-inf + mu * i, 0.0, inf - mu * i, 0.0])
+        if kind == "SIR":
+            return np.array([-inf, 0.0, inf - mu * i, mu * i])
+        if kind == "SEIR":
+            return np.array([-inf, inf - gamma * e, gamma * e - mu * i, mu * i])
+        return np.array([-inf + mu * r, 0.0, inf - gamma * i, gamma * i - mu * r])
+
+    dt = grid[1] - grid[0]
+    out = np.empty((len(grid), 4))
+    acum = np.zeros(len(grid))
+    out[0] = u = np.array(u0)
+    for k in range(1, len(grid)):
+        k1 = vf(u)
+        u2 = u + 0.5 * dt * k1
+        k2 = vf(u2)
+        u3 = u + 0.5 * dt * k2
+        k3 = vf(u3)
+        u4 = u + dt * k3
+        k4 = vf(u4)
+        flux = [lam * v[0] * v[2] for v in (u, u2, u3, u4)]
+        acum[k] = acum[k - 1] + dt / 6.0 * (flux[0] + 2.0 * flux[1] + 2.0 * flux[2] + flux[3])
+        out[k] = u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out, acum
+
+
+@pytest.mark.parametrize("kind", ["SIS", "SIR", "SEIR", "SIRS"])
+def test_rk4_matches_array_form_bitwise(kind):
+    grid = uniform_grid(6.0, 0.01)
+    ode = solve_markovian_ode(kind, 1.7, 1.3, 0.9, {"i0": 0.05, "e0": 0.03, "r0": 0.02}, grid)
+    u0 = (1.0 - 0.05 - 0.03 - 0.02, 0.03, 0.05, 0.02)
+    out, acum = _rk4_arrays(kind, 1.7, 1.3, 0.9, u0, grid)
+    np.testing.assert_array_equal(np.column_stack([ode.S, ode.E, ode.I, ode.R]), out)
+    np.testing.assert_array_equal(ode.A, acum)
+
+
 # ------------------------------------------------- non-exponential dual route
 
 
