@@ -182,6 +182,11 @@ class ModelSpec:
                 if self.r0 > 0 and self.f0 is None:
                     self.f0 = equilibrium_dist(_marginal_second(self.h))
 
+    def residual_joint(self) -> JointDurationDist | None:
+        """The joint residual law h0 of the two-stage initial pool, or h where
+        h0 is unset, which is only where that pool's mass is zero."""
+        return self.h0 if self.h0 is not None else self.h
+
     # -- contact-rate helpers --
 
     def lam_constant(self):

@@ -2,11 +2,13 @@
 
 The driver law (DriverCovariance): every limit driver is a fixed linear
 combination of the base processes of one independent Gaussian block, and
-each block's covariance is built in closed form over the whole grid. The
-sampler draws each block from one factor of that covariance, so the
-sampled law is this law and the additive identities between drivers hold
-exactly by construction. Also the linear stochastic Volterra solves for
-(Shat, Ehat, Ihat, Rhat) and the Markovian SIS SDE cross-check.
+each block's covariance is built in closed form, on first use and only up
+to the latest node asked for. The sampler draws each block from one factor
+of that covariance over every node, so the sampled law is this law and the
+additive identities between drivers hold exactly by construction. Also the
+linear stochastic Volterra solve for (Shat, Ehat, Ihat, Rhat), which is the
+fluid's renewal system linearized with the drivers as extra forcing, and
+the Markovian SIS SDE cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .fluid import (
     ConvKernel,
     FluidSolution,
     _atom_lag,
-    cdf_kernel,
+    _equations,
     conv_full,
     solve_linear_volterra,
-    survival_kernel,
-    table_kernel,
 )
 
 __all__ = [
@@ -169,7 +169,7 @@ class DriverCovariance:
             self._h = JointDurationDist(g=_POINT_AT_ZERO, f=spec.f)
         else:
             self._h = spec.h
-            self._h0 = spec.h0 if spec.h0 is not None else spec.h
+            self._h0 = spec.residual_joint()
         self._blocks: dict = {}
 
     def _node(self, t) -> int:
@@ -386,11 +386,14 @@ def _rows_conv(ker: ConvKernel, r: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-_NEEDED = {
-    "SIS": ("I0", "I1"),
-    "SIR": ("MA", "I0", "I1", "R0", "R1"),
-    "SEIR": ("MA", "E0", "E1", "I01", "I02", "I1", "R01", "R02", "R1", "L0", "L1"),
-    "SIRS": ("I0", "I1", "R01", "R02", "R1"),
+# Compartment -> the drivers added to its forcing in the linearized system
+# ("-" marks one that is subtracted). These are the drivers a solve reads.
+_FORCED = {
+    "SIS": {"I": ("I0", "I1")},
+    "SIR": {"I": ("I0", "I1"), "S": ("-MA",), "R": ("R0", "R1")},
+    "SEIR": {"I": ("I01", "I02", "I1"), "S": ("-MA",), "E": ("E0", "E1"),
+             "R": ("R01", "R02", "R1")},
+    "SIRS": {"I": ("I0", "I1"), "R": ("R01", "R02", "R1")},
 }
 
 
@@ -398,7 +401,11 @@ def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
                     ihat0=0.0, ehat0=0.0, seed=None) -> FcltPath:
     """Solve the limit fluctuation equations for sampled driver paths.
 
-    drivers maps driver ids to (paths, n) or (n,) arrays on the grid;
+    The solve is the fluid system linearized: the renewal terms and kernels
+    of the fluid's equations, with initial masses (0, ihat0, ehat0), the
+    drivers added to the forcings, and the rate lam S I replaced by
+    lam (Sbar Ihat + Ibar Shat). drivers maps driver ids to (paths, n) or
+    (n,) arrays on the grid; only the ids in the kind's forcings are read.
     ihat0/ehat0 are the initial fluctuation values (scalars or per-path).
     """
     grid = np.asarray(grid, dtype=float)
@@ -409,87 +416,50 @@ def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
     if spec.kind != fluid.kind:
         raise ValueError("spec kind does not match the fluid solution")
     kind = spec.kind
+    forced = _FORCED[kind]
     flat = True
     ds = {}
-    for name in _NEEDED[kind]:
+    for name in dict.fromkeys(d.lstrip("-") for ids in forced.values() for d in ids):
         if name not in drivers:
             raise ValueError(f"driver {name!r} is required for {kind}")
         arr = np.asarray(drivers[name], dtype=float)
         flat = flat and arr.ndim == 1
         ds[name] = arr if arr.ndim == 2 else arr[None, :]
-    paths = max(a.shape[0] for a in ds.values())
     i0v = np.asarray(ihat0, dtype=float).reshape(-1, 1)
     e0v = np.asarray(ehat0, dtype=float).reshape(-1, 1)
     flat = flat and i0v.size == 1 and e0v.size == 1
+
+    kt = tabulate_kernels(spec.h, spec.residual_joint(), grid) if spec.h is not None else None
+    terms, _, cs, rest = _equations(spec, grid, kt, 0.0, i0v, e0v)
+
+    def forcing(name, f):
+        # sampled drivers are Fortran-ordered and f broadcasts over paths,
+        # so the sum stays Fortran-ordered: its time-major view is free
+        for d in forced[name]:
+            f = f - ds[d[1:]] if d[0] == "-" else f + ds[d]
+        return f
+
+    # q = lam S I linearized: qhat = sum_i z_i X_i with z_i = lam Ibar c_i,
+    # plus lam Sbar for X_0 = Ihat
     lam = spec.lam_on_grid(grid)
-    zeros = np.zeros((paths, n))
-
-    if spec.f0 is not None:
-        f0sf = np.asarray(spec.f0.sf(grid), dtype=float)
-        f0cdf = 1.0 - f0sf
-    else:
-        if np.any(i0v != 0.0):
-            raise ValueError("nonzero initial I fluctuation needs a residual law f0")
-        f0sf = f0cdf = np.zeros(n)
-
-    def pack(shat, ehat, ihat, rhat):
-        if flat:
-            shat, ehat, ihat, rhat = shat[0], ehat[0], ihat[0], rhat[0]
-            ds_out = {k: v[0] for k, v in ds.items()}
-        else:
-            ds_out = ds
-        return FcltPath(grid, ds_out, shat, ehat, ihat, rhat,
-                        _maybe_scalar(i0v), _maybe_scalar(e0v), seed)
-
-    if kind == "SIS":
-        forcing = i0v * f0sf + ds["I0"] + ds["I1"]
-        xs, _ = solve_linear_volterra(
-            [forcing], [survival_kernel(spec.f, grid)], [1.0],
-            [lam * (1.0 - 2.0 * fluid.I)], grid,
-        )
-        ihat = xs[0]
-        return pack(-ihat, zeros, ihat, zeros.copy())
-
-    if kind == "SIR":
-        ones = ConvKernel(cont=np.ones(n), atoms=())
-        f_s = -i0v - ds["MA"] + zeros
-        f_i = i0v * f0sf + ds["I0"] + ds["I1"]
-        xs, r = solve_linear_volterra(
-            [f_s, f_i], [ones, survival_kernel(spec.f, grid)], [-1.0, 1.0],
-            [lam * fluid.I, lam * fluid.S], grid,
-        )
-        shat, ihat = xs
-        rhat = i0v * f0cdf + ds["R0"] + ds["R1"] + _rows_conv(cdf_kernel(spec.f, grid), r, dt)
-        return pack(shat, zeros, ihat, rhat)
-
-    h0 = spec.h0 if spec.h0 is not None else spec.h
-    kt = tabulate_kernels(spec.h, h0, grid)
-    kpsi = table_kernel(kt.psi, kt.psi_atoms, grid)
-    g0sf = np.asarray(h0.g.sf(grid), dtype=float)
-    if kind == "SEIR":
-        ones = ConvKernel(cont=np.ones(n), atoms=())
-        f_s = -i0v - e0v - ds["MA"] + zeros
-        f_i = i0v * f0sf + e0v * kt.psi0 + ds["I01"] + ds["I02"] + ds["I1"]
-        xs, r = solve_linear_volterra(
-            [f_s, f_i], [ones, kpsi], [-1.0, 1.0],
-            [lam * fluid.I, lam * fluid.S], grid,
-        )
-        shat, ihat = xs
-        ehat = e0v * g0sf + ds["E0"] + ds["E1"] + _rows_conv(
-            survival_kernel(spec.h.g, grid), r, dt)
-        rhat = i0v * f0cdf + e0v * kt.phi0 + ds["R01"] + ds["R02"] + ds["R1"] + _rows_conv(
-            table_kernel(kt.phi, kt.phi_atoms, grid), r, dt)
-        return pack(shat, ehat, ihat, rhat)
-
-    # SIRS
-    f_i = i0v * g0sf + ds["I0"] + ds["I1"]
-    f_r = i0v * kt.psi0 + ds["R01"] + ds["R02"] + ds["R1"]
-    xs, _ = solve_linear_volterra(
-        [f_i, f_r], [survival_kernel(spec.h.g, grid), kpsi], [1.0, 1.0],
-        [lam * (1.0 - 2.0 * fluid.I - fluid.R), -lam * fluid.I], grid,
+    zs = [lam * fluid.I * c for c in cs]
+    zs[0] = zs[0] + lam * fluid.S
+    xs, r = solve_linear_volterra(
+        [forcing(name, f) for name, f, _ in terms], [K for _, _, K in terms],
+        [1.0] * len(terms), zs, grid,
     )
-    ihat, rhat = xs
-    return pack(-ihat - rhat, zeros, ihat, rhat)
+    hats = {name: x for (name, _, _), x in zip(terms, xs)}
+    if "S" not in hats:
+        hats["S"] = sum(c * x for c, x in zip(cs, xs))
+    for name, (f, K) in rest.items():
+        if name in forced:
+            hats[name] = _rows_conv(K, r, dt)
+            hats[name] += forcing(name, f)
+    out = [hats[c] if c in hats else np.zeros_like(hats["I"]) for c in "SEIR"]
+    if flat:
+        out = [x[0] for x in out]
+        ds = {k: v[0] for k, v in ds.items()}
+    return FcltPath(grid, ds, *out, _maybe_scalar(i0v), _maybe_scalar(e0v), seed)
 
 
 def _maybe_scalar(arr):

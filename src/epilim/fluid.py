@@ -1,6 +1,12 @@
-"""Deterministic limit solvers: renewal-type Volterra systems for all four
-models, a generic two-unknown linear Volterra solver, and the Markovian-ODE
-and deterministic-duration delay special cases used as cross-checks.
+"""Deterministic limit solvers: the renewal-type Volterra system of each of
+the four models, one step loop for every such system (the fluid's and the
+linear fluctuation systems of fclt), and the Markovian-ODE and
+deterministic-duration delay special cases used as cross-checks.
+
+Each kind's system (_equations) is written once: its renewal terms, the
+closure giving S, and the compartments that are convolutions of the rate.
+The fluid solves it with the rate lam S I; fclt solves the same terms with
+the linearized rate and the drivers as extra forcing.
 
 Discretization: uniform grid, product-trapezoidal convolution. Kernel jump
 discontinuities are carried separately as (lag, jump) atoms whose
@@ -24,8 +30,6 @@ import numpy as np
 from .agent_sim import ModelSpec
 from .distributions import (
     DurationDist,
-    JointDurationDist,
-    KernelTable,
     _conv_head,
     grid_step,
     tabulate_kernels,
@@ -246,7 +250,7 @@ def _require_nodes(grid, dists):
             _atom_lag(loc, dt)
 
 
-def solve_fluid(spec: ModelSpec, grid, kernels: KernelTable | None = None) -> FluidSolution:
+def solve_fluid(spec: ModelSpec, grid) -> FluidSolution:
     """Solve the deterministic limit system of spec's model on the grid."""
     grid = np.asarray(grid, dtype=float)
     grid_step(grid)  # validate uniformity
@@ -258,7 +262,7 @@ def solve_fluid(spec: ModelSpec, grid, kernels: KernelTable | None = None) -> Fl
         dt = dt0 / (1 << halving)
         g = uniform_grid(horizon, dt) if halving else grid
         try:
-            sol = _solve_fluid_on(spec, g, kernels if not halving else None)
+            sol = _solve_fluid_on(spec, g)
         except _StepDiverged as e:
             last = e
             continue
@@ -284,50 +288,64 @@ def solve_fluid(spec: ModelSpec, grid, kernels: KernelTable | None = None) -> Fl
     )
 
 
-def _solve_fluid_on(spec, grid, kernels):
-    """One fluid solve without halving.
+def _equations(spec, grid, kt, unit, i0, e0):
+    """The renewal system of spec's kind on the grid, written once.
 
-    Every kind has rate q = lam S I with I = X_0 and S = s0 + sum_i c_i X_i
-    over the renewal terms; SIR and SEIR carry S as a term of its own whose
-    kernel is a lag-0 atom of -1, so S(t) = S(0) - int_0^t q.
+    Returns (terms, s0, cs, rest). terms lists (name, forcing, ConvKernel)
+    with X = forcing + int_0^t K(t-s) q(s) ds, I first; S = s0 + sum_i
+    cs[i] X_i closes the system through the rate q = lam S I; rest maps
+    the other compartments to a (forcing, ConvKernel) pair, to be convolved
+    with the solved q. SIR and SEIR carry S as a term of its own whose kernel
+    is a lag-0 atom of -1, so S(t) = S(0) - int_0^t q.
+
+    Forcings and s0 are linear in (unit, i0, e0): the fluid passes (1,
+    spec.i0, spec.e0); the fluctuation limit passes (0, ihat0, ehat0), and
+    the same kernels then carry the linearized rate. kt is the kernel table
+    of (h, h0) for the two-stage kinds, None for SIS and SIR.
     """
-    kind = spec.kind
+    n = len(grid)
+    minus_cum = ConvKernel(cont=np.zeros(n), atoms=((0, -1.0),))
+
+    def f0_part(c, which):
+        # c times f0's sf or cdf; with c = 0 the law need not exist
+        if not np.any(c):
+            return 0.0
+        if spec.f0 is None:
+            raise ValueError("nonzero initial I fluctuation needs a residual law f0")
+        return c * getattr(spec.f0, which)(grid)
+
+    if spec.kind in ("SIS", "SIR"):
+        _require_nodes(grid, [spec.f, spec.f0])
+        terms = [("I", i0 * spec.f0.sf(grid), survival_kernel(spec.f, grid))]
+        if spec.kind == "SIS":
+            return terms, unit, (-1.0,), {}
+        terms.append(("S", (unit - i0) * np.ones(n), minus_cum))
+        rest = {"R": (i0 * spec.f0.cdf(grid), cdf_kernel(spec.f, grid))}
+        return terms, 0.0, (0.0, 1.0), rest
+    h0 = spec.residual_joint()
+    psi = table_kernel(kt.psi, kt.psi_atoms, grid)
+    if spec.kind == "SEIR":
+        terms = [("I", e0 * kt.psi0 + f0_part(i0, "sf"), psi),
+                 ("S", (unit - i0 - e0) * np.ones(n), minus_cum)]
+        rest = {
+            "E": (e0 * (1.0 - h0.g.cdf(grid)), survival_kernel(spec.h.g, grid)),
+            "R": (e0 * kt.phi0 + f0_part(i0, "cdf"), table_kernel(kt.phi, kt.phi_atoms, grid)),
+            "L": (e0 * h0.g.cdf(grid), cdf_kernel(spec.h.g, grid)),
+        }
+        return terms, 0.0, (0.0, 1.0), rest
+    terms = [("I", i0 * (1.0 - h0.g.cdf(grid)), survival_kernel(spec.h.g, grid)),
+             ("R", i0 * kt.psi0 + f0_part(unit * spec.r0, "sf"), psi)]
+    return terms, unit, (-1.0, -1.0), {}
+
+
+def _solve_fluid_on(spec, grid):
+    """One fluid solve without halving: the renewal system of _equations
+    with the rate q = lam S I, a scalar fixed point at each step."""
     dt = float(grid[1] - grid[0])
     n = len(grid)
     lam = spec.lam_on_grid(grid).tolist()
-    i0, e0, r0 = spec.i0, spec.e0, spec.r0
-    minus_cum = ConvKernel(cont=np.zeros(n), atoms=((0, -1.0),))
-
-    if kind in ("SEIR", "SIRS"):
-        h0 = spec.h0 if spec.h0 is not None else spec.h
-        kt = kernels if kernels is not None else tabulate_kernels(spec.h, h0, grid)
-        _check_table(kt, grid)
-    if kind in ("SIS", "SIR"):
-        _require_nodes(grid, [spec.f, spec.f0])
-        terms = [(i0 * spec.f0.sf(grid), survival_kernel(spec.f, grid))]
-        if kind == "SIS":
-            s0, cs = 1.0, (-1.0,)
-        else:
-            terms.append((np.full(n, 1.0 - i0), minus_cum))
-            s0, cs = 0.0, (0.0, 1.0)
-    elif kind == "SEIR":
-        forc_i = e0 * kt.psi0
-        if i0 > 0:
-            forc_i = forc_i + i0 * spec.f0.sf(grid)
-        terms = [
-            (forc_i, table_kernel(kt.psi, kt.psi_atoms, grid)),
-            (np.full(n, 1.0 - i0 - e0), minus_cum),
-        ]
-        s0, cs = 0.0, (0.0, 1.0)
-    else:  # SIRS
-        forc_r = i0 * kt.psi0
-        if r0 > 0:
-            forc_r = forc_r + r0 * spec.f0.sf(grid)
-        terms = [
-            (i0 * (1.0 - h0.g.cdf(grid)), survival_kernel(spec.h.g, grid)),
-            (forc_r, table_kernel(kt.psi, kt.psi_atoms, grid)),
-        ]
-        s0, cs = 1.0, (-1.0, -1.0)
+    kt = tabulate_kernels(spec.h, spec.residual_joint(), grid) if spec.h is not None else None
+    terms, s0, cs, rest = _equations(spec, grid, kt, 1.0, spec.i0, spec.e0)
 
     max_it = 0
     q_prev = 0.0
@@ -351,49 +369,33 @@ def _solve_fluid_on(spec, grid, kernels):
 
     # Divergence is detected and handled, so silence transient overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, q, qcum = _renewal(grid, terms, rate)
-    ii = xs[0]
-    ss = np.full(n, s0)
-    for c, x in zip(cs, xs):
-        ss += c * x
-    ee = np.zeros(n)
-    ll = qcum.copy()
-    if kind == "SIS":
-        rr = np.zeros(n)
-    elif kind == "SIR":
-        rr = i0 * spec.f0.cdf(grid) + conv_full(cdf_kernel(spec.f, grid), q, dt)
-    elif kind == "SEIR":
-        ee = e0 * (1.0 - h0.g.cdf(grid)) + conv_full(survival_kernel(spec.h.g, grid), q, dt)
-        rr = e0 * kt.phi0 + conv_full(table_kernel(kt.phi, kt.phi_atoms, grid), q, dt)
-        if i0 > 0:
-            rr = rr + i0 * spec.f0.cdf(grid)
-        ll = e0 * h0.g.cdf(grid) + conv_full(cdf_kernel(spec.h.g, grid), q, dt)
-    else:
-        rr = xs[1]
-    resid = _probe_residual(ii, terms[0][0], terms[0][1], q, dt)
+        xs, q, qcum = _renewal(grid, [(f, K) for _, f, K in terms], rate)
+    out = {name: x for (name, _, _), x in zip(terms, xs)}
+    for name, (f, K) in rest.items():
+        out[name] = f + conv_full(K, q, dt)
+    if "S" not in out:
+        out["S"] = np.full(n, s0)
+        for c, x in zip(cs, xs):
+            out["S"] += c * x
+    _, forcing, ker = terms[0]
 
     return FluidSolution(
-        kind=kind,
+        kind=spec.kind,
         grid=grid,
-        S=ss,
-        E=ee,
-        I=ii,
-        R=rr,
+        S=out["S"],
+        E=out.get("E", np.zeros(n)),
+        I=out["I"],
+        R=out.get("R", np.zeros(n)),
         A=qcum,
-        L=ll,
+        L=out.get("L", qcum.copy()),
         spec=spec,
         diagnostics={
             "dt": dt,
             "halvings": 0,
             "max_iterations": max_it,
-            "probe_residual": resid,
+            "probe_residual": _probe_residual(out["I"], forcing, ker, q, dt),
         },
     )
-
-
-def _check_table(kt: KernelTable, grid):
-    if len(kt.grid) != len(grid) or abs(kt.grid[-1] - grid[-1]) > 1e-9:
-        raise ValueError("kernel table must be tabulated on the solver grid")
 
 
 def _probe_residual(x, forcing, ker, q, dt):

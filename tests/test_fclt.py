@@ -12,6 +12,7 @@ from epilim import (
     LogNormal,
     ModelSpec,
     PiecewiseEmpirical,
+    TabulatedRate,
     Uniform,
     Weibull,
     solve_fluid,
@@ -456,6 +457,64 @@ def test_solve_validation():
         solve_fclt_path(zd, flni, noi, segrid, ihat0=1.0)
     out = solve_fclt_path(zd, flni, noi, segrid, ehat0=1.0)  # fine without f0
     assert np.max(np.abs(out.Ehat + out.Ihat + out.Rhat + out.Shat)) < 1e-10
+
+
+def test_seir_solve_reads_no_onset_drivers():
+    # L0 and L1 enter no SEIR forcing: a solve without them gives the same paths
+    spec, fl, grid = _seir_setup()
+    dr = sample_drivers(DriverCovariance(fl), grid, np.random.default_rng(11), paths=20)
+    full = solve_fclt_path(dr, fl, spec, grid, ihat0=0.2, ehat0=-0.1)
+    fewer = {d: v for d, v in dr.items() if d not in ("L0", "L1")}
+    part = solve_fclt_path(fewer, fl, spec, grid, ihat0=0.2, ehat0=-0.1)
+    for c in ("Shat", "Ehat", "Ihat", "Rhat"):
+        np.testing.assert_array_equal(getattr(part, c), getattr(full, c))
+
+
+_SEIR_H = JointDurationDist(g=Uniform(0.2, 1.0), f=LogNormal(-0.3, 0.4))
+_SEIR_MODEL = dict(kind="SEIR", lam=2.0, i0=0.03, e0=0.04, h=_SEIR_H, f0=Exponential(2.0),
+                   h0=JointDurationDist(g=Exponential(1.5), f=LogNormal(-0.3, 0.4)))
+_SIRS_H = JointDurationDist(g=Exponential(1.0), f=Uniform(0.5, 1.5))
+_SIRS_H0 = JointDurationDist(g=Uniform(0.0, 2.0), f=Uniform(0.5, 1.5))
+
+# model and the initial mass to perturb; f0 and h0 are given, so they stay fixed
+_LINEARIZED = {
+    "SIS": (dict(kind="SIS", lam=2.0, i0=0.1, f=Gamma(2.0, 2.0), f0=Uniform(0.0, 2.0)), "i0"),
+    "SIR": (dict(kind="SIR", lam=1.5, i0=0.05, f=LogNormal(-0.125, 0.5),
+                 f0=Exponential(1.2)), "i0"),
+    "SIR-deterministic": (dict(kind="SIR", lam=1.8, i0=0.05, f=Deterministic(1.0),
+                               f0=Uniform(0.0, 1.0)), "i0"),
+    "SEIR-i0": (_SEIR_MODEL, "i0"),
+    "SEIR-e0": (_SEIR_MODEL, "e0"),
+    "SIRS": (dict(kind="SIRS", lam=2.5, i0=0.1, r0=0.15, h=_SIRS_H, h0=_SIRS_H0,
+                  f0=Uniform(0.0, 1.5)), "i0"),
+    "SIRS-no-immune-pool": (dict(kind="SIRS", lam=2.5, i0=0.1, h=_SIRS_H, h0=_SIRS_H0), "i0"),
+    "SIR-tabulated-rate": (dict(kind="SIR", lam=TabulatedRate((0.0, 1.0, 2.5), (2.0, 0.7, 1.6)),
+                                i0=0.05, f=Gamma(2.0, 2.0), f0=Exponential(1.0)), "i0"),
+    "SEIR-bucketed": (dict(kind="SEIR", lam=1.6, i0=0.02, e0=0.03, f0=Weibull(2.0, 1.0),
+                           h=JointDurationDist(
+                               g=Gamma(2.0, 2.0), bucket_centers=(0.5, 1.0, 2.0),
+                               bucket_dists=(LogNormal(-0.125, 0.5), Weibull(2.0, 1.0),
+                                             Gamma(2.0, 2.0))),
+                           h0=JointDurationDist(g=Exponential(1.0), f=Weibull(2.0, 1.0))), "e0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINEARIZED))
+def test_solve_is_the_linearized_fluid(case):
+    # zero drivers and a unit initial fluctuation: the solve is the derivative
+    # of the discretized fluid in that initial mass (central difference)
+    model, mass = _LINEARIZED[case]
+    grid = uniform_grid(4.0, 0.05)
+    eps = 1e-6
+    up, down = (solve_fluid(ModelSpec(**dict(model, **{mass: model[mass] + s})), grid)
+                for s in (eps, -eps))
+    spec = ModelSpec(**model)
+    fl = solve_fluid(spec, grid)
+    hat0 = {"ihat0" if mass == "i0" else "ehat0": 1.0}
+    path = solve_fclt_path(_zero_drivers(spec.kind, len(grid)), fl, spec, grid, **hat0)
+    for c in "SEIR":
+        slope = (getattr(up, c) - getattr(down, c)) / (2.0 * eps)
+        assert np.max(np.abs(getattr(path, c + "hat") - slope)) < 1e-8, c
 
 
 def test_solved_path_variance_matches_sde():

@@ -12,7 +12,6 @@ from epilim.distributions import (
     JointDurationDist,
     LogNormal,
     Uniform,
-    tabulate_kernels,
     uniform_grid,
 )
 from epilim.fluid import (
@@ -314,14 +313,6 @@ def test_off_grid_point_mass_is_rejected():
     spec = ModelSpec(kind="SIR", lam=1.0, i0=0.1, f=Deterministic(0.333))
     with pytest.raises(ValueError, match="grid"):
         solve_fluid(spec, uniform_grid(2.0, 0.01))
-
-
-def test_kernel_table_grid_mismatch_rejected():
-    h = JointDurationDist(g=Exponential(2.0), f=Exponential(1.0))
-    spec = ModelSpec(kind="SEIR", lam=1.0, i0=0.05, e0=0.0, h=h)
-    wrong = tabulate_kernels(h, h, uniform_grid(3.0, 0.05))
-    with pytest.raises(ValueError, match="grid"):
-        solve_fluid(spec, uniform_grid(4.0, 0.05), kernels=wrong)
 
 
 # ------------------------------------------------------- linear system solver

@@ -1,8 +1,10 @@
-"""Property tests over random kernels, rate paths and period laws.
+"""Property tests over random kernels, rate paths, period laws and models.
 
 The FFT convolutions of fully known paths are checked against direct sums:
 conv_full against the product-trapezoid sum written out, and the kernel
 tabulation against the same tabulation with np.convolve in place of the FFT.
+Over random models, the fluid conserves mass with monotone cumulatives and
+the fluctuation limit's compartments sum to zero.
 """
 
 from unittest import mock
@@ -11,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilim import distributions
+from epilim import ModelSpec, TabulatedRate, distributions
 from epilim.distributions import (
     Deterministic,
     Exponential,
@@ -23,7 +25,8 @@ from epilim.distributions import (
     tabulate_kernels,
     uniform_grid,
 )
-from epilim.fluid import ConvKernel, conv_full
+from epilim.fclt import DriverCovariance, sample_drivers, solve_fclt_path
+from epilim.fluid import ConvKernel, conv_full, solve_fluid
 
 # deterministic and fast: the suite's wall-clock budget covers these too
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -74,7 +77,7 @@ def test_conv_full_matches_direct_sum(case):
         np.testing.assert_array_equal(got, conv_full(ker, row, dt))
 
 
-def _law(draw, dt, atoms):
+def _law(draw, dt, atoms, min_lag=0):
     kind = draw(st.sampled_from(["exp", "gamma", "lognormal", "uniform", "weibull"]
                                 + (["det"] if atoms else [])))
     x = draw(st.floats(0.3, 3.0))
@@ -88,7 +91,7 @@ def _law(draw, dt, atoms):
         return Uniform(draw(st.floats(0.0, 1.0)), 1.0 + x)
     if kind == "weibull":
         return Weibull(draw(st.floats(0.7, 3.0)), x)
-    return Deterministic(dt * draw(st.integers(0, 60)))
+    return Deterministic(dt * draw(st.integers(min_lag, 60)))
 
 
 @st.composite
@@ -123,3 +126,44 @@ def test_tabulate_kernels_matches_direct_convolution(case):
         assert np.max(np.abs(getattr(kt, name) - getattr(ref, name))) <= 1e-13, name
     np.testing.assert_array_equal(kt.psi, h.g.cdf(grid) - kt.phi)
     np.testing.assert_array_equal(kt.psi0, h0.g.cdf(grid) - kt.phi0)
+
+
+@st.composite
+def _models(draw):
+    dt = draw(st.sampled_from([0.05, 0.1]))
+    grid = uniform_grid(draw(st.sampled_from([1.0, 2.0, 4.0])), dt)
+    kind = draw(st.sampled_from(["SIS", "SIR", "SEIR", "SIRS"]))
+    if draw(st.booleans()):
+        lam = draw(st.floats(0.0, 4.0))
+    else:
+        times = sorted(draw(st.lists(st.floats(0.1, 3.0), max_size=3, unique=True)))
+        lam = TabulatedRate([0.0] + times, draw(st.lists(st.floats(0.0, 4.0),
+                                                          min_size=len(times) + 1,
+                                                          max_size=len(times) + 1)))
+    # laws without an atom at 0, so that every fluctuation starts at 0
+    laws = [_law(draw, dt, True, min_lag=1) for _ in range(2)]
+    masses = {"i0": draw(st.floats(0.001, 0.3))}
+    if kind in ("SIS", "SIR"):
+        return ModelSpec(kind=kind, lam=lam, f=laws[0], **masses), grid
+    other = {"SEIR": "e0", "SIRS": "r0"}[kind]
+    masses[other] = draw(st.floats(0.0, 0.3))
+    return ModelSpec(kind=kind, lam=lam, h=JointDurationDist(g=laws[0], f=laws[1]),
+                     **masses), grid
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(_models(), st.integers(0, 2**32 - 1))
+def test_fluid_and_fluctuation_conserve_mass(case, seed):
+    spec, grid = case
+    fl = solve_fluid(spec, grid)
+    assert np.max(np.abs(fl.S + fl.E + fl.I + fl.R - 1.0)) <= 1e-12
+    assert np.all(np.diff(fl.A) >= 0.0)  # a trapezoid sum of q >= 0
+    # SEIR's L is an FFT convolution: it may step back by rounding, below
+    # 4e-17 over 300 random models
+    assert np.all(np.diff(fl.L) >= -1e-15)
+    drivers = sample_drivers(DriverCovariance(fl), grid, np.random.default_rng(seed), paths=3)
+    path = solve_fclt_path(drivers, fl, spec, grid)
+    hats = [path.Shat, path.Ehat, path.Ihat, path.Rhat]
+    assert np.max(np.abs(sum(hats))) <= 1e-10
+    for hat in hats:
+        assert np.all(hat[:, 0] == 0.0)
