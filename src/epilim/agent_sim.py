@@ -6,7 +6,13 @@ transitions are scheduled in a priority queue. Between events the intensity
 is constant, so the next infection candidate is an exponential draw; a
 time-tabulated rate is handled by thinning against its maximum. No time
 discretization anywhere: the compartment path is the exact state sampled at
-grid times.
+grid times, up to the last grid node.
+
+One table, ``_STAGES``, says for each model kind which agent pools exist,
+which ``ModelSpec`` law their periods come from and which transitions their
+members pass through; ``simulate`` schedules every kind from it. Readers of
+the event log share one vectorized replay, ``_replay``: the compartment
+counts after each event as a cumulative sum of ``transition_deltas``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "BECOME_INFECTIOUS",
     "RECOVER",
     "BECOME_SUSCEPTIBLE",
-    "TRANSITION_NAMES",
     "TabulatedRate",
     "ModelSpec",
     "EventLog",
@@ -49,11 +54,18 @@ BECOME_INFECTIOUS = 1
 RECOVER = 2
 BECOME_SUSCEPTIBLE = 3
 
-TRANSITION_NAMES = {
-    INFECT: "Infect",
-    BECOME_INFECTIOUS: "BecomeInfectious",
-    RECOVER: "Recover",
-    BECOME_SUSCEPTIBLE: "BecomeSusceptible",
+# Per kind, every agent pool in id order: (pool, ModelSpec law of its periods,
+# transition codes its members pass through in order). Initial pools are
+# named by their mass, as in fclt._LAW; "new" holds the post-time-zero
+# infections, whose codes follow their INFECT event. A two-code pool draws
+# (first period, second period) pairs from a joint law.
+_STAGES = {
+    "SIS": (("i0", "f0", (BECOME_SUSCEPTIBLE,)), ("new", "f", (BECOME_SUSCEPTIBLE,))),
+    "SIR": (("i0", "f0", (RECOVER,)), ("new", "f", (RECOVER,))),
+    "SEIR": (("i0", "f0", (RECOVER,)), ("e0", "h0", (BECOME_INFECTIOUS, RECOVER)),
+             ("new", "h", (BECOME_INFECTIOUS, RECOVER))),
+    "SIRS": (("i0", "h0", (RECOVER, BECOME_SUSCEPTIBLE)), ("r0", "f0", (BECOME_SUSCEPTIBLE,)),
+             ("new", "h", (RECOVER, BECOME_SUSCEPTIBLE))),
 }
 
 
@@ -87,18 +99,17 @@ class TabulatedRate:
         idx = np.clip(np.searchsorted(self.times, grid, side="right") - 1, 0, None)
         return np.asarray(self.values)[idx]
 
-    def integral(self, a: float, b: float) -> float:
-        """int_a^b of the rate, exact across breakpoints."""
-        if b <= a:
-            return 0.0
+    def integral(self, a, b):
+        """int_a^b of the rate (0 where b <= a), exact across breakpoints;
+        elementwise over arrays of bounds."""
         ts, vs = self.times, self.values
         total = 0.0
         for j, v in enumerate(vs):
-            lo = max(a, ts[j])
-            hi = min(b, ts[j + 1]) if j + 1 < len(ts) else b
-            if hi > lo:
-                total += v * (hi - lo)
-        return total
+            lo = np.maximum(a, ts[j])
+            hi = np.minimum(b, ts[j + 1]) if j + 1 < len(ts) else b
+            # the per-piece sum, not Lambda(b) - Lambda(a), which rounds differently
+            total = total + np.where(hi > lo, v * (hi - lo), 0.0)
+        return total if np.ndim(total) else float(total)
 
 
 def _marginal_second(joint: JointDurationDist) -> DurationDist:
@@ -208,10 +219,11 @@ class ModelSpec:
             return self.lam.on_grid(grid)
         return np.full(len(grid), self.lam)
 
-    def lam_integral(self, a: float, b: float) -> float:
+    def lam_integral(self, a, b):
+        """int_a^b of the rate (0 where b <= a), elementwise over arrays."""
         if isinstance(self.lam, TabulatedRate):
             return self.lam.integral(a, b)
-        return self.lam * max(b - a, 0.0)
+        return self.lam * np.maximum(np.subtract(b, a), 0.0)
 
 
 @dataclass
@@ -285,27 +297,17 @@ class _Pool:
         return self.buf[i]
 
 
-class _PairPool:
-    __slots__ = ("joint", "rng", "xi", "eta", "i", "block")
-
-    def __init__(self, joint, rng, block=512):
-        self.joint = joint
-        self.rng = rng
-        self.block = block
-        self.xi, self.eta = joint.sample_pair(rng, block)
-        self.i = 0
-
-    def draw(self):
-        i = self.i
-        if i >= self.block:
-            self.xi, self.eta = self.joint.sample_pair(self.rng, self.block)
-            i = 0
-        self.i = i + 1
-        return self.xi[i], self.eta[i]
+def _periods(law, rng, k, stages):
+    """k draws of a pool's periods as a (stages, k) array: one row from a
+    single-period law, the (first, second) rows from a joint law."""
+    if stages == 1:
+        return np.atleast_1d(law.sample(rng, k)).astype(float)[None]
+    return np.array(law.sample_pair(rng, k), dtype=float)
 
 
 def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, seed=None):
-    """One exact replication; returns (CompartmentPath, EventLog)."""
+    """One exact replication up to the last node of ``uniform_grid(horizon,
+    grid_dt)``; returns (CompartmentPath, EventLog)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if horizon <= 0:
@@ -314,12 +316,12 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
         rng = np.random.default_rng(seed)
     grid = uniform_grid(horizon, grid_dt)
     kn = len(grid)
-    gtimes = grid.tolist()
+    t_end = float(grid[-1])
+    gtimes = grid.tolist() + [math.inf]  # the sentinel ends every node scan
     kind = spec.kind
 
-    i0n = int(round(n * spec.i0))
-    e0n = int(round(n * spec.e0))
-    r0n = int(round(n * spec.r0))
+    counts = {pool: int(round(n * getattr(spec, pool))) for pool in ("i0", "e0", "r0")}
+    i0n, e0n, r0n = counts["i0"], counts["e0"], counts["r0"]
     if i0n + e0n + r0n > n:
         raise ValueError("initial counts exceed n after rounding")
 
@@ -328,78 +330,50 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
     A = 0
     L = 0
 
+    # schedule the initial agents' transitions, pool by pool in id order:
+    # ids 0..i0n-1 are initially infectious, then exposed (SEIR) or immune
+    # (SIRS), then susceptibles
+    *initial, (_, new_law, new_codes) = _STAGES[kind]
     heap: list = []
+    next_fresh = 0
+    for pool, law, codes in initial:
+        k = counts[pool]
+        if k:
+            ends = np.cumsum(_periods(getattr(spec, law), rng, k, len(codes)), axis=0)
+            ids = range(next_fresh, next_fresh + k)
+            for code, row in zip(codes, ends.tolist()):
+                heap.extend(zip(row, ids, [code] * k))
+        next_fresh += k
+    # entries (t, id, code) are distinct, so the pop order does not depend
+    # on how the heap was built
+    heapq.heapify(heap)
     push = heapq.heappush
     pop = heapq.heappop
 
-    # schedule the initial agents' transitions; ids 0..i0n-1 are initially
-    # infectious, then exposed (SEIR) or immune (SIRS), then susceptibles
-    if kind in ("SIS", "SIR"):
-        exit_code = RECOVER if kind == "SIR" else BECOME_SUSCEPTIBLE
-        if i0n:
-            d = np.atleast_1d(spec.f0.sample(rng, i0n))
-            for j in range(i0n):
-                push(heap, (float(d[j]), j, exit_code))
-    elif kind == "SEIR":
-        if i0n:
-            d = np.atleast_1d(spec.f0.sample(rng, i0n))
-            for j in range(i0n):
-                push(heap, (float(d[j]), j, RECOVER))
-        if e0n:
-            xi, eta = spec.h0.sample_pair(rng, e0n)
-            for j in range(e0n):
-                a = i0n + j
-                x = float(xi[j])
-                push(heap, (x, a, BECOME_INFECTIOUS))
-                push(heap, (x + float(eta[j]), a, RECOVER))
-    else:  # SIRS
-        if i0n:
-            xi, eta = spec.h0.sample_pair(rng, i0n)
-            for j in range(i0n):
-                x = float(xi[j])
-                push(heap, (x, j, RECOVER))
-                push(heap, (x + float(eta[j]), j, BECOME_SUSCEPTIBLE))
-        if r0n:
-            d = np.atleast_1d(spec.f0.sample(rng, r0n))
-            for j in range(r0n):
-                push(heap, (float(d[j]), i0n + j, BECOME_SUSCEPTIBLE))
-
-    if kind in ("SIS", "SIR"):
-        dur_pool = _Pool(lambda k: np.atleast_1d(spec.f.sample(rng, k)), 512)
-        new_codes = None
-    else:
-        pair_pool = _PairPool(spec.h, rng)
-        new_codes = (
-            (BECOME_INFECTIOUS, RECOVER) if kind == "SEIR" else (RECOVER, BECOME_SUSCEPTIBLE)
-        )
-    exp_pool = _Pool(lambda k: rng.exponential(size=k))
-    uni_pool = None
-
+    new_law = getattr(spec, new_law)
+    stages = len(new_codes)
+    first_code, second_code = (new_codes + (None,))[:2]
+    new_draw = _Pool(lambda k: _periods(new_law, rng, k, stages).T.tolist(), 512).draw
+    # Python floats: faster than numpy scalars in the loop, and a rate too
+    # small for the next candidate time gives inf without a warning
+    edraw = _Pool(lambda k: rng.exponential(size=k).tolist()).draw
     lam_const = spec.lam_constant()
     lam_max = spec.lam_max()
     if lam_const is None:
-        uni_pool = _Pool(lambda k: rng.uniform(size=k))
+        udraw = _Pool(lambda k: rng.uniform(size=k).tolist()).draw
         lam_at = spec.lam.at
 
-    next_fresh = i0n + e0n + r0n
     freed: list = []
-
     lt: list = []
     la: list = []
     lc: list = []
-    Sg = np.empty(kn, np.int64)
-    Eg = np.empty(kn, np.int64)
-    Ig = np.empty(kn, np.int64)
-    Rg = np.empty(kn, np.int64)
-    Ag = np.empty(kn, np.int64)
-    Lg = np.empty(kn, np.int64)
+    rec = np.empty((kn, 6), np.int64)
     node = 0
 
     INF = math.inf
     seir = kind == "SEIR"
     sis = kind == "SIS"
     t = 0.0
-    edraw = exp_pool.draw
 
     while True:
         t_sched = heap[0][0] if heap else INF
@@ -408,19 +382,18 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
             t_cand = t + edraw() * n / (lam_max * si)
         else:
             t_cand = INF
-        if t_sched <= t_cand:
-            te = t_sched
-            if te > horizon:
-                break
-            while node < kn and gtimes[node] < te:
-                Sg[node] = S
-                Eg[node] = E
-                Ig[node] = I
-                Rg[node] = R
-                Ag[node] = A
-                Lg[node] = L
-                node += 1
-            te, aid, code = pop(heap)
+        scheduled = t_sched <= t_cand  # ties go to the scheduled event
+        te = t_sched if scheduled else t_cand
+        if te > t_end:
+            te = INF
+        while gtimes[node] < te:
+            rec[node] = S, E, I, R, A, L
+            node += 1
+        if te == INF:
+            break
+        t = te
+        if scheduled:
+            _, aid, code = pop(heap)
             if code == RECOVER:
                 I -= 1
                 R += 1
@@ -435,62 +408,33 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
                     R -= 1
                 S += 1
                 push(freed, aid)
-            lt.append(te)
-            la.append(aid)
-            lc.append(code)
-            t = te
         else:
-            te = t_cand
-            if te > horizon:
-                break
-            t = te
-            if lam_const is None and uni_pool.draw() * lam_max > lam_at(te):
+            if lam_const is None and udraw() * lam_max > lam_at(te):
                 continue  # thinned candidate, state unchanged
-            while node < kn and gtimes[node] < te:
-                Sg[node] = S
-                Eg[node] = E
-                Ig[node] = I
-                Rg[node] = R
-                Ag[node] = A
-                Lg[node] = L
-                node += 1
             if freed:
-                aid = heapq.heappop(freed)
+                aid = pop(freed)
             else:
                 aid = next_fresh
                 next_fresh += 1
             S -= 1
             A += 1
-            if new_codes is None:
+            if seir:
+                E += 1
+            else:
                 I += 1
                 L += 1
-                push(heap, (te + float(dur_pool.draw()), aid, exit_code))
-            else:
-                x, y = pair_pool.draw()
-                x = float(x)
-                if seir:
-                    E += 1
-                else:
-                    I += 1
-                    L += 1
-                push(heap, (te + x, aid, new_codes[0]))
-                push(heap, (te + x + float(y), aid, new_codes[1]))
-            lt.append(te)
-            la.append(aid)
-            lc.append(INFECT)
+            d = new_draw()
+            tx = te + d[0]
+            push(heap, (tx, aid, first_code))
+            if second_code is not None:
+                push(heap, (tx + d[1], aid, second_code))
+            code = INFECT
+        lt.append(te)
+        la.append(aid)
+        lc.append(code)
 
-    while node < kn:
-        Sg[node] = S
-        Eg[node] = E
-        Ig[node] = I
-        Rg[node] = R
-        Ag[node] = A
-        Lg[node] = L
-        node += 1
-
-    path = CompartmentPath(
-        grid=grid, S=Sg, E=Eg, I=Ig, R=Rg, A=Ag, L=Lg, n=n, kind=kind, seed=seed
-    )
+    path = CompartmentPath(grid=grid, **dict(zip("SEIRAL", rec.T.copy())), n=n,
+                           kind=kind, seed=seed)
     log = EventLog(
         times=np.asarray(lt, dtype=float),
         agents=np.asarray(la, dtype=np.int64),
@@ -552,6 +496,16 @@ def simulate_ensemble(
     return paths
 
 
+def _replay(log: EventLog):
+    """(S, I) counts after the first k events of the log, k = 0..len(log),
+    as the cumulative sum of the events' transition deltas."""
+    deltas = np.array([transition_deltas(log.kind, c) for c in range(4)], dtype=np.int64)
+    start = (log.n - log.i0_count - log.e0_count - log.r0_count,
+             log.e0_count, log.i0_count, log.r0_count)
+    counts = np.cumsum(np.vstack([start, deltas[log.codes]]), axis=0)
+    return counts[:, 0], counts[:, 2]
+
+
 def integrated_intensity(log: EventLog, spec: ModelSpec, times) -> np.ndarray:
     """Integrated fraction-scale intensity along one run, exact between events.
 
@@ -559,35 +513,12 @@ def integrated_intensity(log: EventLog, spec: ModelSpec, times) -> np.ndarray:
     the expected infection count over [0, t] is n times this.
     """
     times = np.asarray(times, dtype=float)
-    order = np.argsort(times, kind="stable")
-    out = np.empty(len(times))
     n = log.n
-    kind = log.kind
-    S = n - log.i0_count - log.e0_count - log.r0_count
-    E, I, R = log.e0_count, log.i0_count, log.r0_count
-
-    cum = 0.0
-    t_prev = 0.0
-    ptr = 0
-    m = len(times)
-
-    def seg(a, b):
-        return spec.lam_integral(a, b) * (S / n) * (I / n)
-
-    for te, code in zip(log.times, log.codes):
-        while ptr < m and times[order[ptr]] <= te:
-            tq = times[order[ptr]]
-            out[order[ptr]] = cum + seg(t_prev, tq)
-            ptr += 1
-        cum += seg(t_prev, te)
-        dS, dE, dI, dR = transition_deltas(kind, int(code))
-        S += dS
-        E += dE
-        I += dI
-        R += dR
-        t_prev = te
-    while ptr < m:
-        tq = times[order[ptr]]
-        out[order[ptr]] = cum + seg(t_prev, tq)
-        ptr += 1
-    return out
+    S, I = _replay(log)
+    s_frac, i_frac = S / n, I / n
+    starts = np.concatenate(([0.0], log.times))
+    whole = spec.lam_integral(starts[:-1], log.times) * s_frac[:-1] * i_frac[:-1]
+    cum = np.concatenate(([0.0], np.cumsum(whole)))
+    # a query at an event time reads the gap before that event
+    k = np.searchsorted(log.times, times, side="left")
+    return cum[k] + spec.lam_integral(starts[k], times) * s_frac[k] * i_frac[k]

@@ -4,7 +4,10 @@ fluid_scale and diffusion_scale implement the n^-1 and sqrt(n) scalings,
 empirical_cov aggregates replications into moment estimates with standard
 errors, convergence_rate fits the law-of-large-numbers error decay, and
 reconstruct_drivers rebuilds the scaled martingale and duration-noise
-processes of one run exactly from its event log.
+processes of one run exactly from its event log. It reads the counts from
+the simulator's one vectorized replay of the log (agent_sim._replay) and
+the exit transition from its stage table (agent_sim._STAGES), so no event
+is visited in a Python loop.
 """
 
 from __future__ import annotations
@@ -14,16 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent_sim import (
-    BECOME_SUSCEPTIBLE,
+    _STAGES,
     INFECT,
-    RECOVER,
     CompartmentPath,
     EventLog,
     ModelSpec,
+    _replay,
     integrated_intensity,
     simulate_ensemble,
-    transition_deltas,
 )
+from .distributions import uniform_grid
 from .fluid import FluidSolution, solve_fluid
 
 __all__ = [
@@ -191,7 +194,7 @@ def convergence_rate(spec: ModelSpec, n_list, reps: int, horizon: float,
     ns = [int(v) for v in n_list]
     if len(ns) < 3 or max(ns) < 100 * min(ns):
         raise ValueError("need at least 3 sizes spanning two decades")
-    grid = np.arange(int(round(horizon / grid_dt)) + 1) * grid_dt
+    grid = uniform_grid(horizon, grid_dt)
     fl = solve_fluid(spec, grid)
     errors = []
     for j, n in enumerate(ns):
@@ -223,36 +226,19 @@ def reconstruct_drivers(log: EventLog, spec: ModelSpec, times) -> dict:
     times = np.asarray(times, dtype=float)
     n = log.n
     root = np.sqrt(n)
-    exit_code = BECOME_SUSCEPTIBLE if log.kind == "SIS" else RECOVER
 
-    taus = []
-    exits = []
-    seg_a, seg_w = [], []
-    pending = set()
-    s_cnt = n - log.i0_count - log.e0_count - log.r0_count
-    i_cnt = log.i0_count
-    t_prev = 0.0
-    for te, agent, code in zip(log.times, log.agents, log.codes):
-        seg_a.append(t_prev)
-        seg_w.append(lam * (s_cnt / n) * (i_cnt / n))
-        t_prev = te
-        code = int(code)
-        if code == INFECT:
-            taus.append(te)
-            pending.add(int(agent))
-        elif code == exit_code and int(agent) in pending:
-            exits.append(te)
-            pending.discard(int(agent))
-        ds, _, di, _ = transition_deltas(log.kind, code)
-        s_cnt += ds
-        i_cnt += di
-    seg_a.append(t_prev)
-    seg_w.append(lam * (s_cnt / n) * (i_cnt / n))
-    seg_a = np.asarray(seg_a)
-    seg_b = np.append(seg_a[1:], max(float(np.max(times, initial=0.0)), t_prev))
-    seg_w = np.asarray(seg_w)
-    taus = np.sort(np.asarray(taus, dtype=float))
-    exits = np.sort(np.asarray(exits, dtype=float))
+    S, I = _replay(log)
+    seg_a = np.concatenate(([0.0], log.times))
+    seg_b = np.append(log.times, max(float(np.max(times, initial=0.0)), seg_a[-1]))
+    seg_w = lam * (S / n) * (I / n)
+    taus = log.times[log.codes == INFECT]
+    # An exit ends a post-time-zero infection unless it is the first log
+    # entry of its agent id: only initial agents exit with no infection
+    # before them, and SIS gives freed ids to later infections.
+    first = np.zeros(len(log), dtype=bool)
+    first[np.unique(log.agents, return_index=True)[1]] = True
+    exit_code = _STAGES[log.kind][-1][2][-1]
+    exits = log.times[(log.codes == exit_code) & ~first]
 
     comp_ma = integrated_intensity(log, spec, times)
     a_cnt = np.searchsorted(taus, times, side="right")

@@ -8,6 +8,7 @@ from epilim.agent_sim import (
     BECOME_SUSCEPTIBLE,
     INFECT,
     RECOVER,
+    EventLog,
     ModelSpec,
     TabulatedRate,
     integrated_intensity,
@@ -20,6 +21,7 @@ from epilim.distributions import (
     Exponential,
     Gamma,
     JointDurationDist,
+    LogNormal,
     Uniform,
     equilibrium_dist,
 )
@@ -181,6 +183,40 @@ def test_sirs_with_atom_collisions():
     assert p1.A[-1] > 0
 
 
+def test_integrated_intensity_hand_log_closed_forms():
+    # four agents, one initially infected; agent 1 is infected at 0.5 and
+    # recovers at 1.2, agent 0 recovers at 1.5. The rate steps from 2 to 0.5
+    # at 0.8, inside the gap (0.5, 1.2); S I / n^2 is 3/16, 1/4, 1/8, then 0.
+    log = EventLog(times=np.array([0.5, 1.2, 1.5]),
+                   agents=np.array([1, 1, 0], dtype=np.int64),
+                   codes=np.array([INFECT, RECOVER, RECOVER], dtype=np.int8),
+                   kind="SIR", n=4, i0_count=1)
+    spec = ModelSpec(kind="SIR", lam=TabulatedRate(times=(0.0, 0.8), values=(2.0, 0.5)),
+                     i0=0.25, f=Exponential(1.0))
+    # 0.5 and 1.2 are event times
+    ts = np.array([1.2, 0.0, 0.5, 1.0, 2.0])
+    want = [
+        2.0 * 0.5 * 3 / 16 + (2.0 * 0.3 + 0.5 * 0.4) / 4,
+        0.0,
+        2.0 * 0.5 * 3 / 16,
+        2.0 * 0.5 * 3 / 16 + (2.0 * 0.3 + 0.5 * 0.2) / 4,
+        2.0 * 0.5 * 3 / 16 + (2.0 * 0.3 + 0.5 * 0.4) / 4 + 0.5 * 0.3 / 8,
+    ]
+    np.testing.assert_allclose(integrated_intensity(log, spec, ts), want, rtol=0, atol=1e-15)
+
+
+def test_tabulated_rate_integral_is_elementwise():
+    tr = TabulatedRate(times=(0.0, 0.7, 1.3, 2.0), values=(1.5, 0.0, 2.5, 0.4))
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-0.5, 3.0, 200)
+    b = np.where(rng.uniform(size=200) < 0.2, a - 0.1, rng.uniform(-0.5, 3.0, 200))
+    b[:4] = (0.7, 1.3, 2.0, 0.0)  # bounds on breakpoints
+    got = tr.integral(a, b)
+    assert got.shape == a.shape
+    np.testing.assert_array_equal(got, [tr.integral(float(x), float(y)) for x, y in zip(a, b)])
+    assert all(type(tr.integral(float(x), float(y))) is float for x, y in zip(a[:5], b[:5]))
+
+
 def test_tabulated_rate_shuts_off():
     tr = TabulatedRate(times=(0.0, 1.0), values=(3.0, 0.0))
     assert tr.at(0.5) == 3.0 and tr.at(1.0) == 0.0 and tr.max_value() == 3.0
@@ -208,6 +244,54 @@ def test_ensemble_determinism_and_guards():
         simulate_ensemble(spec, 500, 0, 2.0, 0.1, master_seed=7)
     _, logs = simulate_ensemble(spec, 200, 2, 1.0, 0.1, master_seed=9, keep_logs=True)
     assert len(logs) == 2 and logs[0].n == 200
+
+
+_WORKER_SPECS = {
+    "SIS": ModelSpec(kind="SIS", lam=2.0, i0=0.1, f=Exponential(1.0)),
+    "SIR": ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=LogNormal(-0.3, 0.4)),
+    "SIRS": ModelSpec(kind="SIRS", lam=1.5, i0=0.05, r0=0.1,
+                      h=JointDurationDist(g=Exponential(1.0), f=Uniform(1.0, 3.0))),
+    "SEIR": ModelSpec(kind="SEIR", lam=TabulatedRate(times=(0.0, 1.0), values=(2.0, 0.8)),
+                      i0=0.02, e0=0.02,
+                      h=JointDurationDist(g=Gamma(2.0, 2.0), f=Uniform(0.5, 1.5))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WORKER_SPECS))
+def test_ensemble_equal_across_worker_counts(kind):
+    spec = _WORKER_SPECS[kind]
+    runs = [simulate_ensemble(spec, 300, 4, 3.0, 0.1, master_seed=13, workers=w,
+                              keep_logs=True) for w in (1, 2)]
+    (p1, l1), (p2, l2) = runs
+    assert len(p1) == len(p2) == 4
+    for a, b in zip(p1, p2):
+        assert a.seed == b.seed
+        for c in ("grid", "S", "E", "I", "R", "A", "L"):
+            x, y = getattr(a, c), getattr(b, c)
+            assert x.dtype == y.dtype and np.array_equal(x, y), c
+    for a, b in zip(l1, l2):
+        for c in ("times", "agents", "codes"):
+            x, y = getattr(a, c), getattr(b, c)
+            assert x.dtype == y.dtype and np.array_equal(x, y), c
+    assert sum(len(lg) for lg in l1) > 0
+
+
+def test_horizon_rounds_to_the_last_node():
+    # the grid rounds the horizon to a whole number of steps, and the run
+    # ends at its last node, not at the horizon
+    spec = ModelSpec(kind="SIR", lam=0.0, i0=0.5, f=Exponential(1.0))
+    short, slog = simulate(spec, 2000, 1.0, 0.6, seed=1)
+    full, flog = simulate(spec, 2000, 1.2, 0.6, seed=1)
+    assert short.grid[-1] == 1.2 and np.array_equal(short.grid, full.grid)
+    for c in ("S", "E", "I", "R", "A", "L"):
+        assert np.array_equal(getattr(short, c), getattr(full, c)), c
+    for c in ("times", "agents", "codes"):
+        assert np.array_equal(getattr(slog, c), getattr(flog, c)), c
+    assert slog.times[-1] > 1.0
+    path, log = simulate(spec, 2000, 1.0, 0.4, seed=1)
+    assert path.grid[-1] == pytest.approx(0.8)
+    assert np.all(log.times <= path.grid[-1])
+    assert path.R[-1] == len(log)
 
 
 def test_initial_rounding():

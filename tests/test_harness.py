@@ -198,6 +198,43 @@ def test_reconstructed_drivers_hand_log():
         (1 - 4 * (comp_ma_2 - comp_i1_2)) / 2, abs=1e-12)
 
 
+def test_reconstructed_drivers_sis_reused_id():
+    # SIS, four agents, 0 and 1 initially infected. Agent 0 exits at 0.4, is
+    # reinfected under the same id at 0.7 and exits again at 1.1; agent 1
+    # exits at 1.6. Only the exit at 1.1 ends a post-time-zero infection.
+    from math import exp
+
+    from epilim.agent_sim import EventLog
+
+    log = EventLog(times=np.array([0.4, 0.7, 1.1, 1.6]),
+                   agents=np.array([0, 0, 0, 1], dtype=np.int64),
+                   codes=np.array([3, 0, 3, 3], dtype=np.int8),
+                   kind="SIS", n=4, i0_count=2)
+    spec = ModelSpec(kind="SIS", lam=1.0, i0=0.5, f=Exponential(1.0))
+    dr = reconstruct_drivers(log, spec, np.array([1.0, 2.0]))
+
+    def isf(x):
+        return 1.0 - exp(-x) if x > 0 else 0.0
+
+    # S I / n^2: 1/4 on (0, 0.4), 3/16 on (0.4, 0.7), 1/4 on (0.7, 1.1),
+    # 3/16 on (1.1, 1.6), 0 afterwards
+    comp_ma_1 = 1 / 4 * 0.4 + 3 / 16 * 0.3 + 1 / 4 * 0.3
+    comp_i1_1 = (1 / 4 * (isf(1.0) - isf(0.6)) + 3 / 16 * (isf(0.6) - isf(0.3))
+                 + 1 / 4 * isf(0.3))
+    assert dr["MA"][0] == pytest.approx((1 - 4 * comp_ma_1) / 2, abs=1e-12)
+    assert dr["I1"][0] == pytest.approx((1 - 4 * comp_i1_1) / 2, abs=1e-12)
+    assert dr["R1"][0] == pytest.approx(
+        (0 - 4 * (comp_ma_1 - comp_i1_1)) / 2, abs=1e-12)
+
+    comp_ma_2 = 1 / 4 * 0.4 + 3 / 16 * 0.3 + 1 / 4 * 0.4 + 3 / 16 * 0.5
+    comp_i1_2 = (1 / 4 * (isf(2.0) - isf(1.6)) + 3 / 16 * (isf(1.6) - isf(1.3))
+                 + 1 / 4 * (isf(1.3) - isf(0.9)) + 3 / 16 * (isf(0.9) - isf(0.4)))
+    assert dr["MA"][1] == pytest.approx((1 - 4 * comp_ma_2) / 2, abs=1e-12)
+    assert dr["I1"][1] == pytest.approx((0 - 4 * comp_i1_2) / 2, abs=1e-12)
+    assert dr["R1"][1] == pytest.approx(
+        (1 - 4 * (comp_ma_2 - comp_i1_2)) / 2, abs=1e-12)
+
+
 def test_reconstructed_drivers_identity_on_simulated_run():
     spec = _sir_spec(f=LogNormal(-0.3, 0.4))
     rng = np.random.default_rng(21)

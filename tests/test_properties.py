@@ -4,7 +4,9 @@ The FFT convolutions of fully known paths are checked against direct sums:
 conv_full against the product-trapezoid sum written out, and the kernel
 tabulation against the same tabulation with np.convolve in place of the FFT.
 Over random models, the fluid conserves mass with monotone cumulatives and
-the fluctuation limit's compartments sum to zero.
+the fluctuation limit's compartments sum to zero; the simulator's event log
+replays to its path at every node, and the integrated infection intensity
+read from that log starts at 0 and never decreases.
 """
 
 from unittest import mock
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epilim import ModelSpec, TabulatedRate, distributions
+from epilim.agent_sim import _replay, integrated_intensity, simulate
 from epilim.distributions import (
     Deterministic,
     Exponential,
@@ -167,3 +170,19 @@ def test_fluid_and_fluctuation_conserve_mass(case, seed):
     assert np.max(np.abs(sum(hats))) <= 1e-10
     for hat in hats:
         assert np.all(hat[:, 0] == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_models(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_replay_matches_path_and_intensity_is_monotone(case, n, seed):
+    spec, grid = case
+    path, log = simulate(spec, n, grid[-1], grid[1] - grid[0], seed=seed)
+    S, I = _replay(log)
+    assert len(S) == len(I) == len(log) + 1
+    k = np.searchsorted(log.times, path.grid, side="right")
+    np.testing.assert_array_equal(S[k], path.S)
+    np.testing.assert_array_equal(I[k], path.I)
+    ts = np.sort(np.concatenate([path.grid, log.times]))
+    lam_bar = integrated_intensity(log, spec, ts)
+    assert lam_bar[0] == 0.0
+    assert np.all(np.diff(lam_bar) >= 0.0)
