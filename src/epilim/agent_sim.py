@@ -17,7 +17,10 @@ counts after each event as a cumulative sum of ``transition_deltas``.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -89,8 +92,7 @@ class TabulatedRate:
         object.__setattr__(self, "values", vs)
 
     def at(self, t: float) -> float:
-        i = np.searchsorted(self.times, t, side="right") - 1
-        return self.values[max(int(i), 0)]
+        return self.values[max(bisect.bisect_right(self.times, t) - 1, 0)]
 
     def max_value(self) -> float:
         return max(self.values)
@@ -204,11 +206,6 @@ class ModelSpec:
         """The constant rate, or None when tabulated."""
         return None if isinstance(self.lam, TabulatedRate) else self.lam
 
-    def lam_at(self, t: float) -> float:
-        if isinstance(self.lam, TabulatedRate):
-            return self.lam.at(t)
-        return self.lam
-
     def lam_max(self) -> float:
         if isinstance(self.lam, TabulatedRate):
             return self.lam.max_value()
@@ -277,24 +274,11 @@ def transition_deltas(kind: str, code: int):
     raise ValueError(f"unknown transition code {code}")
 
 
-class _Pool:
-    """Blockwise scalar draws from a vectorized sampler."""
-
-    __slots__ = ("make", "buf", "i", "block")
-
-    def __init__(self, make, block=1024):
-        self.make = make
-        self.block = block
-        self.buf = make(block)
-        self.i = 0
-
-    def draw(self):
-        i = self.i
-        if i >= self.block:
-            self.buf = self.make(self.block)
-            i = 0
-        self.i = i + 1
-        return self.buf[i]
+def _pool(make, block=1024):
+    """Scalar draws from a vectorized sampler, as a C-level ``__next__``: the
+    first block is drawn now, each later one when the last is used up."""
+    later = itertools.chain.from_iterable(map(make, itertools.repeat(block)))
+    return itertools.chain(make(block), later).__next__
 
 
 def _periods(law, rng, k, stages):
@@ -305,9 +289,20 @@ def _periods(law, rng, k, stages):
     return np.array(law.sample_pair(rng, k), dtype=float)
 
 
+def _initial_counts(spec: ModelSpec, n: int) -> dict:
+    """Agents in each initial pool of an n-agent run."""
+    return {pool: int(round(n * getattr(spec, pool))) for pool in ("i0", "e0", "r0")}
+
+
 def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, seed=None):
     """One exact replication up to the last node of ``uniform_grid(horizon,
     grid_dt)``; returns (CompartmentPath, EventLog)."""
+    return _run(spec, n, horizon, grid_dt, rng, seed, keep_log=True)
+
+
+def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
+    """``simulate``, with the EventLog None unless kept: the loop then skips
+    its per-event appends."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if horizon <= 0:
@@ -320,7 +315,7 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
     gtimes = grid.tolist() + [math.inf]  # the sentinel ends every node scan
     kind = spec.kind
 
-    counts = {pool: int(round(n * getattr(spec, pool))) for pool in ("i0", "e0", "r0")}
+    counts = _initial_counts(spec, n)
     i0n, e0n, r0n = counts["i0"], counts["e0"], counts["r0"]
     if i0n + e0n + r0n > n:
         raise ValueError("initial counts exceed n after rounding")
@@ -353,20 +348,18 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
     new_law = getattr(spec, new_law)
     stages = len(new_codes)
     first_code, second_code = (new_codes + (None,))[:2]
-    new_draw = _Pool(lambda k: _periods(new_law, rng, k, stages).T.tolist(), 512).draw
+    new_draw = _pool(lambda k: _periods(new_law, rng, k, stages).T.tolist(), 512)
     # Python floats: faster than numpy scalars in the loop, and a rate too
     # small for the next candidate time gives inf without a warning
-    edraw = _Pool(lambda k: rng.exponential(size=k).tolist()).draw
+    edraw = _pool(lambda k: rng.exponential(size=k).tolist())
     lam_const = spec.lam_constant()
     lam_max = spec.lam_max()
     if lam_const is None:
-        udraw = _Pool(lambda k: rng.uniform(size=k).tolist()).draw
+        udraw = _pool(lambda k: rng.uniform(size=k).tolist())
         lam_at = spec.lam.at
 
     freed: list = []
-    lt: list = []
-    la: list = []
-    lc: list = []
+    lt, la, lc = [], [], []  # the log: event times, agent ids and codes
     rec = np.empty((kn, 6), np.int64)
     node = 0
 
@@ -429,34 +422,26 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
             if second_code is not None:
                 push(heap, (tx + d[1], aid, second_code))
             code = INFECT
-        lt.append(te)
-        la.append(aid)
-        lc.append(code)
+        if keep_log:
+            lt.append(te)
+            la.append(aid)
+            lc.append(code)
 
     path = CompartmentPath(grid=grid, **dict(zip("SEIRAL", rec.T.copy())), n=n,
                            kind=kind, seed=seed)
-    log = EventLog(
-        times=np.asarray(lt, dtype=float),
-        agents=np.asarray(la, dtype=np.int64),
-        codes=np.asarray(lc, dtype=np.int8),
-        kind=kind,
-        n=n,
-        i0_count=i0n,
-        e0_count=e0n,
-        r0_count=r0n,
-    )
+    if not keep_log:
+        return path, None
+    log = EventLog(times=np.asarray(lt, dtype=float), agents=np.asarray(la, dtype=np.int64),
+                   codes=np.asarray(lc, dtype=np.int8), kind=kind, n=n, i0_count=i0n,
+                   e0_count=e0n, r0_count=r0n)
     return path, log
 
 
-def _ensemble_rep(spec, n, horizon, grid_dt, master_seed, r):
+def _ensemble_rep(spec, n, horizon, grid_dt, master_seed, keep_log, r):
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(r,)))
-    path, log = simulate(spec, n, horizon, grid_dt, rng)
+    path, log = _run(spec, n, horizon, grid_dt, rng, None, keep_log)
     path.seed = (master_seed, r)
     return path, log
-
-
-def _ensemble_rep_star(args):
-    return _ensemble_rep(*args)
 
 
 def simulate_ensemble(
@@ -473,27 +458,35 @@ def simulate_ensemble(
     """Independent replications with per-rep streams derived from (master_seed, r).
 
     Results are bitwise identical for a given master seed regardless of
-    workers or execution order.
+    workers or execution order. The memory guard counts the grid paths and,
+    with ``keep_logs``, 17 B per event of a bound on the expected events:
+    at most lam_max T n / 4 infections, since S I / n <= n / 4, each with
+    one event per stage, plus the exits of the initial agents.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     kn = int(round(horizon / grid_dt)) + 1
     est = reps * kn * 6 * 8 + reps * 2048
+    if keep_logs:
+        *initial, (_, _, new_codes) = _STAGES[spec.kind]
+        counts = _initial_counts(spec, n)
+        events = (spec.lam_max() * (kn - 1) * grid_dt * n / 4 * (1 + len(new_codes))
+                  + sum(counts[pool] * len(codes) for pool, _, codes in initial))
+        est += reps * 17 * math.ceil(events)
     if est > memory_budget:
         raise ValueError(
-            f"ensemble would need about {est / 1e9:.2f} GB for {reps} paths of "
-            f"{kn} nodes, above the {memory_budget / 1e9:.2f} GB budget"
+            f"ensemble would need about {est / 1e9:.2f} GB for {reps} paths of {kn} nodes"
+            f"{' and their event logs' if keep_logs else ''}, above the "
+            f"{memory_budget / 1e9:.2f} GB budget"
         )
+    rep = functools.partial(_ensemble_rep, spec, n, horizon, grid_dt, master_seed, keep_logs)
     if workers > 1:
-        args = [(spec, n, horizon, grid_dt, master_seed, r) for r in range(reps)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            out = list(ex.map(_ensemble_rep_star, args, chunksize=max(1, reps // (8 * workers))))
+            out = list(ex.map(rep, range(reps), chunksize=max(1, reps // (8 * workers))))
     else:
-        out = [_ensemble_rep(spec, n, horizon, grid_dt, master_seed, r) for r in range(reps)]
-    paths = [p for p, _ in out]
-    if keep_logs:
-        return paths, [lg for _, lg in out]
-    return paths
+        out = [rep(r) for r in range(reps)]
+    paths, logs = map(list, zip(*out))
+    return (paths, logs) if keep_logs else paths
 
 
 def _replay(log: EventLog):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy import stats as st
 from scipy.fft import next_fast_len
 
 __all__ = [
@@ -230,7 +229,8 @@ class Gamma(DurationDist):
         self.rate = float(rate)
 
     def cdf(self, t):
-        return st.gamma.cdf(np.clip(_asarr(t), 0.0, None), self.shape, scale=1.0 / self.rate)
+        # t / (1 / rate), not t * rate: the bits scipy.stats.gamma feeds these ufuncs
+        return special.gammainc(self.shape, np.clip(_asarr(t), 0.0, None) / (1.0 / self.rate))
 
     def mean(self):
         return self.shape / self.rate
@@ -242,8 +242,9 @@ class Gamma(DurationDist):
         # int_0^t sf = t*sf(t) + int_0^t s f(s) ds, and the partial mean of a
         # Gamma(a, r) is (a/r) * CDF of Gamma(a+1, r).
         t = np.clip(_asarr(t), 0.0, None)
-        part = self.mean() * st.gamma.cdf(t, self.shape + 1.0, scale=1.0 / self.rate)
-        return t * st.gamma.sf(t, self.shape, scale=1.0 / self.rate) + part
+        x = t / (1.0 / self.rate)
+        part = self.mean() * special.gammainc(self.shape + 1.0, x)
+        return t * special.gammaincc(self.shape, x) + part
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
@@ -262,7 +263,10 @@ class LogNormal(DurationDist):
         self.sigma = float(sigma)
 
     def cdf(self, t):
-        return st.lognorm.cdf(np.clip(_asarr(t), 0.0, None), self.sigma, scale=math.exp(self.mu))
+        # log(t / exp(mu)) / sigma: the bits scipy.stats.lognorm feeds ndtr
+        with np.errstate(divide="ignore"):
+            return special.ndtr(np.log(np.clip(_asarr(t), 0.0, None) / math.exp(self.mu))
+                                / self.sigma)
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
@@ -272,10 +276,10 @@ class LogNormal(DurationDist):
 
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
-        sf = st.lognorm.sf(t, self.sigma, scale=math.exp(self.mu))
         with np.errstate(divide="ignore"):
+            sf = special.ndtr(-np.log(t / math.exp(self.mu)) / self.sigma)
             z = (np.log(t) - self.mu - self.sigma**2) / self.sigma
-        part = self.mean() * st.norm.cdf(np.where(t > 0, z, -np.inf))
+        part = self.mean() * special.ndtr(np.where(t > 0, z, -np.inf))
         return t * sf + part
 
     def sample(self, rng, size=None):

@@ -164,20 +164,22 @@ def test_seir_balance_and_order():
     assert len(log.times) == 0 or np.all(np.diff(log.times) >= 0)
 
 
+# deterministic periods force simultaneous events
+_ATOM_SIRS = ModelSpec(
+    kind="SIRS",
+    lam=2.0,
+    i0=0.2,
+    r0=0.1,
+    h=JointDurationDist(g=Deterministic(1.0), f=Deterministic(0.5)),
+    h0=JointDurationDist(g=Uniform(0.0, 1.0), f=Deterministic(0.5)),
+    f0=Uniform(0.0, 0.5),
+)
+
+
 def test_sirs_with_atom_collisions():
-    # deterministic periods force simultaneous events; fixed processing order
-    h = JointDurationDist(g=Deterministic(1.0), f=Deterministic(0.5))
-    spec = ModelSpec(
-        kind="SIRS",
-        lam=2.0,
-        i0=0.2,
-        r0=0.1,
-        h=h,
-        h0=JointDurationDist(g=Uniform(0.0, 1.0), f=Deterministic(0.5)),
-        f0=Uniform(0.0, 0.5),
-    )
-    p1, _ = simulate(spec, 1000, 6.0, 0.01, seed=6)
-    p2, _ = simulate(spec, 1000, 6.0, 0.01, seed=6)
+    # simultaneous events have a fixed processing order
+    p1, _ = simulate(_ATOM_SIRS, 1000, 6.0, 0.01, seed=6)
+    p2, _ = simulate(_ATOM_SIRS, 1000, 6.0, 0.01, seed=6)
     assert np.all(p1.S + p1.E + p1.I + p1.R == 1000)
     assert np.array_equal(p1.I, p2.I) and np.array_equal(p1.S, p2.S)
     assert p1.A[-1] > 0
@@ -217,6 +219,16 @@ def test_tabulated_rate_integral_is_elementwise():
     assert all(type(tr.integral(float(x), float(y))) is float for x, y in zip(a[:5], b[:5]))
 
 
+def test_tabulated_rate_at_matches_on_grid():
+    tr = TabulatedRate(times=(0.0, 0.7, 1.3, 2.0), values=(1.5, 0.0, 2.5, 0.4))
+    ts = [-1.0, -0.0, 0.0, 0.3, 0.7, 1.0, 1.3, float(np.nextafter(1.3, 0.0)), 2.0,
+          float(np.nextafter(2.0, 3.0)), 7.5, np.inf]
+    got = [tr.at(t) for t in ts]
+    assert got == tr.on_grid(np.array(ts)).tolist()
+    assert got[:4] == [1.5] * 4 and got[4] == 0.0 and got[-3:] == [0.4] * 3
+    assert all(type(v) is float for v in got)
+
+
 def test_tabulated_rate_shuts_off():
     tr = TabulatedRate(times=(0.0, 1.0), values=(3.0, 0.0))
     assert tr.at(0.5) == 3.0 and tr.at(1.0) == 0.0 and tr.max_value() == 3.0
@@ -240,6 +252,12 @@ def test_ensemble_determinism_and_guards():
     assert np.array_equal(direct.I, paths[1].I)
     with pytest.raises(ValueError, match="GB"):
         simulate_ensemble(spec, 500, 10**9, 2.0, 0.1, master_seed=7)
+    # kept logs count too: about lam T n / 4 infections of two events each,
+    # 17 B an event, about 1.6 MB here against 0.01 MB of paths
+    small = dict(master_seed=7, memory_budget=10**6)
+    with pytest.raises(ValueError, match="event logs"):
+        simulate_ensemble(spec, 20_000, 3, 2.0, 0.1, keep_logs=True, **small)
+    assert len(simulate_ensemble(spec, 20_000, 3, 2.0, 0.1, **small)) == 3
     with pytest.raises(ValueError):
         simulate_ensemble(spec, 500, 0, 2.0, 0.1, master_seed=7)
     _, logs = simulate_ensemble(spec, 200, 2, 1.0, 0.1, master_seed=9, keep_logs=True)
@@ -274,6 +292,21 @@ def test_ensemble_equal_across_worker_counts(kind):
             x, y = getattr(a, c), getattr(b, c)
             assert x.dtype == y.dtype and np.array_equal(x, y), c
     assert sum(len(lg) for lg in l1) > 0
+
+
+@pytest.mark.parametrize("kind", sorted(_WORKER_SPECS))
+def test_ensemble_paths_do_not_depend_on_keep_logs(kind):
+    # the loop that keeps no log draws the same streams in the same order;
+    # SEIR thins against a TabulatedRate, SIRS has simultaneous events
+    spec = _ATOM_SIRS if kind == "SIRS" else _WORKER_SPECS[kind]
+    kept, logs = simulate_ensemble(spec, 400, 3, 4.0, 0.05, master_seed=21, keep_logs=True)
+    plain = simulate_ensemble(spec, 400, 3, 4.0, 0.05, master_seed=21)
+    for a, b, lg in zip(kept, plain, logs):
+        assert a.seed == b.seed
+        for c in ("grid", "S", "E", "I", "R", "A", "L"):
+            x, y = getattr(a, c), getattr(b, c)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), c
+        assert len(lg) > 0
 
 
 def test_horizon_rounds_to_the_last_node():

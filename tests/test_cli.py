@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,3 +299,14 @@ def test_main_runs_subcommand(tmp_path, capsys):
         cli.main(["frobnicate", "x.json"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the laws call scipy.special directly; scipy.stats would add most of a
+    # second to every run's set-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, epilim, epilim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
