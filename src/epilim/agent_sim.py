@@ -180,20 +180,15 @@ class ModelSpec:
                 raise ValueError(f"{self.kind} needs the joint period law h")
             if self.f is not None:
                 raise ValueError(f"{self.kind} takes h/h0/f0, not f")
-            if self.kind == "SEIR":
-                if self.e0 > 0 and self.h0 is None:
-                    self.h0 = JointDurationDist(
-                        g=equilibrium_dist(self.h.g), f=_marginal_second(self.h)
-                    )
-                if self.i0 > 0 and self.f0 is None:
-                    self.f0 = equilibrium_dist(_marginal_second(self.h))
-            else:  # SIRS
-                if self.i0 > 0 and self.h0 is None:
-                    self.h0 = JointDurationDist(
-                        g=equilibrium_dist(self.h.g), f=_marginal_second(self.h)
-                    )
-                if self.r0 > 0 and self.f0 is None:
-                    self.f0 = equilibrium_dist(_marginal_second(self.h))
+            # each initial pool with mass and no law of its own gets the default
+            for pool, law, _ in _STAGES[self.kind]:
+                if pool == "new" or getattr(self, pool) <= 0 or getattr(self, law) is not None:
+                    continue
+                second = _marginal_second(self.h)
+                if law == "h0":
+                    self.h0 = JointDurationDist(g=equilibrium_dist(self.h.g), f=second)
+                else:
+                    self.f0 = equilibrium_dist(second)
 
     def residual_joint(self) -> JointDurationDist | None:
         """The joint residual law h0 of the two-stage initial pool, or h where

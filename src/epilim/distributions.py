@@ -641,26 +641,33 @@ def _merge_atoms(pairs):
 
 def _conv_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """First m entries of the full linear convolution of a and b along the
-    last axis, by FFT in O(N log N). a's leading axes broadcast against b's.
+    last axis, by FFT in O(N log N). The leading axes of a and b broadcast,
+    so a batch of rows in either one is convolved in one call.
 
     Rounding is absolute, a few eps times the largest output, where a direct
     sum of nonnegative terms is accurate entry by entry.
     """
     a, b = a[..., :m], b[..., :m]  # later entries reach no output below m
     size = next_fast_len(a.shape[-1] + b.shape[-1] - 1, real=True)
-    spec = np.fft.rfft(b, size)
-    spec *= np.fft.rfft(a, size)  # in place: one spectrum buffer fewer at the peak
+    fb, fa = np.fft.rfft(b, size), np.fft.rfft(a, size)
+    # b's spectrum stays the first factor, and the product goes into the
+    # batched spectrum: one buffer fewer at the peak
+    spec = np.multiply(fb, fa, out=fb if fb.ndim >= fa.ndim else fa)
     return np.fft.irfft(spec, size)[..., :m]
 
 
-def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray) -> np.ndarray:
-    """Phi(t_k) = int F(t_k - u | u) dG(u) on the grid.
+def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray, shifts: int = 1) -> np.ndarray:
+    """out[d, k] = int over u in [0, t_k] of F(t_{k+d} - u | u) dG(u), for
+    every shift d < shifts and node k with k + d < n; the rest is 0.
 
-    Atom masses of G and (independent case) of F are peeled off and added
-    exactly; the continuous-by-continuous part uses product-trapezoidal
-    Stieltjes sums, which stay second order because all integrands are
-    piecewise smooth between the (exactly handled) atoms. Each sum is one
-    FFT convolution (_conv_head) per law or bucket.
+    Row 0 is Phi(t_k) = P(xi + eta <= t_k); row d is P(xi <= t_k,
+    xi + eta <= t_{k+d}), the law of both stages at two times. Atom masses
+    of G and (independent case) of F are added exactly: an F atom at b adds
+    G_c(min(t_k, t_{k+d} - b)), a G atom at a adds F(t_{k+d} - a | a). The
+    continuous-by-continuous part uses product-trapezoidal Stieltjes sums,
+    which stay second order because all integrands are piecewise smooth
+    between the (exactly handled) atoms. Each sum is one FFT convolution
+    (_conv_head) per law or bucket, batched over the shifts.
     """
     g = joint.g
     g_atoms = g.atoms()
@@ -668,19 +675,24 @@ def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray) -> np.ndarray:
         if g_atoms or any(d.atoms() for d in joint.bucket_dists):
             raise ValueError("bucketed conditionals require atomless marginals")
     k = len(grid)
+    late = np.arange(k) + np.arange(shifts)[:, None]  # [d, k]: index k + d
+    ahead = grid[np.minimum(late, k - 1)]  # t_{k+d}
     gc_nodes = g.cdf_continuous(grid)
     dgc = np.diff(gc_nodes)
-    phi = np.zeros(k)
+    out = np.zeros((shifts, k))
 
     def add_continuous(fdist, weights):
-        # trapezoid of F_c(t_k - u) against the continuous G mass in `weights`
+        # trapezoid of F_c(t_{k+d} - u) against the continuous G mass in `weights`
         fc = fdist.cdf_continuous(grid)
         w = 0.5 * (fc[1:] + fc[:-1])
-        phi[1:] += _conv_head(w, weights, k - 1)
-        # atoms of F against the continuous part of G: exact term G_c(t - b)
+        # row d: the cell averages of F_c from cell d on
+        wd = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([w, np.zeros(shifts - 1)]), k - 1)
+        out[:, 1:] += _conv_head(wd, weights, k - 1)
+        # atoms of F against the continuous part of G: exact term G_c(min(t, t' - b))
         for b, jb in fdist.atoms():
-            mask = grid >= b
-            phi[mask] += jb * g.cdf_continuous(grid[mask] - b)
+            mask = ahead >= b
+            out[mask] += jb * g.cdf_continuous(np.minimum(grid, ahead - b)[mask])
 
     if joint.independent:
         add_continuous(joint.f, dgc)
@@ -693,14 +705,15 @@ def _conv_cdf_values(joint: JointDurationDist, grid: np.ndarray) -> np.ndarray:
             if np.any(wts):
                 add_continuous(d, wts)
 
-    # atoms of G: exact F(t_k - a | a) weighted by the jump
+    # atoms of G: exact F(t_{k+d} - a | a) weighted by the jump
     for a, ja in g_atoms:
         fdist = joint.conditional(a)
-        mask = grid >= a
-        vals = np.zeros(k)
-        vals[mask] = fdist.cdf(grid[mask] - a)
-        phi += ja * vals
-    return phi
+        mask = np.broadcast_to(grid >= a, out.shape)
+        vals = np.zeros((shifts, k))
+        vals[mask] = fdist.cdf(ahead[mask] - a)
+        out += ja * vals
+    out[late >= k] = 0.0
+    return out
 
 
 def _phi_atom_list(joint: JointDurationDist):
@@ -731,9 +744,9 @@ def tabulate_kernels(h: JointDurationDist, h0: JointDurationDist, grid) -> Kerne
                 stacklevel=2,
             )
 
-    phi = _conv_cdf_values(h, grid)
+    phi = _conv_cdf_values(h, grid)[0]
     psi = h.g.cdf(grid) - phi  # identity Psi = G - Phi, enforced exactly
-    phi0 = _conv_cdf_values(h0, grid)
+    phi0 = _conv_cdf_values(h0, grid)[0]
     psi0 = h0.g.cdf(grid) - phi0
 
     phi_atoms = _phi_atom_list(h)

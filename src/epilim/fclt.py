@@ -3,12 +3,15 @@
 The driver law (DriverCovariance): every limit driver is a fixed linear
 combination of the base processes of one independent Gaussian block, and
 each block's covariance is built in closed form, on first use and only up
-to the latest node asked for. The sampler draws each block from one factor
-of that covariance over every node, so the sampled law is this law and the
-additive identities between drivers hold exactly by construction. Also the
-linear stochastic Volterra solve for (Shat, Ehat, Ihat, Rhat), which is the
-fluid's renewal system linearized with the drivers as extra forcing, and
-the Markovian SIS SDE cross-check.
+to the latest node asked for. The two-stage blocks read the law of both
+stages at two times from the fluid's own Stieltjes sum of the joint law h
+(distributions._conv_cdf_values, every time shift at once), so the fluid
+and the driver law share one quadrature. The sampler draws each block from
+one factor of that covariance over every node, so the sampled law is this
+law and the additive identities between drivers hold exactly by
+construction. Also the linear stochastic Volterra solve for (Shat, Ehat,
+Ihat, Rhat), which is the fluid's renewal system linearized with the
+drivers as extra forcing, and the Markovian SIS SDE cross-check.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import numpy as np
 from scipy.linalg.lapack import dpstrf
 
 from .agent_sim import ModelSpec
-from .distributions import Deterministic, JointDurationDist, grid_step, tabulate_kernels
+from .distributions import _conv_cdf_values, _conv_head, grid_step, tabulate_kernels
 from .fluid import (
     ConvKernel,
     FluidSolution,
-    _atom_lag,
     _equations,
     conv_full,
     solve_linear_volterra,
@@ -62,8 +64,6 @@ _LAW = {
 }
 DRIVER_IDS = {kind: tuple(law) for kind, law in _LAW.items()}
 
-_POINT_AT_ZERO = Deterministic(0.0)
-
 # Largest norm, relative to the largest variance, of the Schur complement
 # that a pivoted Cholesky factor may leave out: far above the rounding of a
 # PSD block, far below anything a sample can resolve.
@@ -85,57 +85,6 @@ class FcltPath:
     seed: object = None
 
 
-def _two_time_values(h: JointDurationDist, grid, delta_idx: int, mode: str) -> np.ndarray:
-    """out[k] = int over y in [0, t_k] of W(t_{k+delta} - y | y) dG(y).
-
-    W is the conditional cdf (mode "cdf") or survival (mode "sf") of the
-    second stage given the first stage equals y; G is the first-stage law.
-    delta_idx may be negative; arguments below zero give cdf 0 / sf 1.
-    Second-order Stieltjes quadrature with G's atoms added exactly.
-    """
-    grid = np.asarray(grid, dtype=float)
-    n = len(grid)
-    dt = grid_step(grid)
-    g = h.g
-
-    conds = h.conditionals()
-    if h.independent:
-        node_bucket = np.zeros(n, dtype=int)
-    else:
-        if g.atoms() or any(d.atoms() for d in conds):
-            raise ValueError("bucketed conditionals require atomless marginals")
-        node_bucket = h._bucket_index(grid)
-
-    idx = np.arange(n)
-
-    def w_eval(d, lags):
-        x = (lags + delta_idx) * dt
-        vals = d.cdf(x) if mode == "cdf" else d.sf(x)
-        filler = 0.0 if mode == "cdf" else 1.0
-        return np.where(lags + delta_idx >= 0, vals, filler)
-
-    out = np.zeros(n)
-    dgc = np.diff(g.cdf_continuous(grid))
-    for b, d in enumerate(conds):
-        m1 = dgc * (node_bucket[:-1] == b)
-        m2 = dgc * (node_bucket[1:] == b)
-        if not (np.any(m1) or np.any(m2)):
-            continue
-        wa = w_eval(d, idx)
-        left = np.convolve(m1, wa)[:n]
-        left[: n - 1] -= m1 * wa[0]
-        right = np.empty(n)
-        right[0] = 0.0
-        right[1:] = np.convolve(m2, wa)[: n - 1]
-        out += 0.5 * (left + right)
-    for loc, ja in g.atoms():
-        a_idx = _atom_lag(loc, dt)
-        if a_idx >= n:
-            continue
-        out[a_idx:] += ja * w_eval(h.conditional(loc), idx[: n - a_idx])
-    return out
-
-
 class DriverCovariance:
     """The law of the limit drivers on the fluid grid.
 
@@ -145,11 +94,11 @@ class DriverCovariance:
     individual's stage epochs; an initial pool's covariance comes from its
     members' residual-stage indicators. Each block's base covariance is
     built on first use, up to the latest node asked for, and cached. Over m
-    nodes it holds (width * m)**2 doubles, and a two-stage W block takes
-    O(m**3) time to build. ``cov`` and ``matrix`` read it through the
-    coefficient table, and ``sample_drivers`` draws from a factor of it over
-    every node, so the sampled law is this law. Cross-block covariances are
-    exactly zero.
+    nodes it holds (width * m)**2 doubles and takes O(m**2 log m) time to
+    build: the two-stage tables are batched FFT convolutions. ``cov`` and
+    ``matrix`` read it through the coefficient table, and ``sample_drivers``
+    draws from a factor of it over every node, so the sampled law is this
+    law. Cross-block covariances are exactly zero.
     """
 
     def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
@@ -165,11 +114,6 @@ class DriverCovariance:
         self.dt = grid_step(self.grid)
         self.n = len(self.grid)
         self.qpath = spec.lam_on_grid(self.grid) * fluid.S * fluid.I
-        if self.kind in ("SIS", "SIR"):
-            self._h = JointDurationDist(g=_POINT_AT_ZERO, f=spec.f)
-        else:
-            self._h = spec.h
-            self._h0 = spec.residual_joint()
         self._blocks: dict = {}
 
     def _node(self, t) -> int:
@@ -230,7 +174,7 @@ class DriverCovariance:
         stages by t_j - s), for one individual infected at time 0; when
         l >= l' that probability is P(l stages by t_i - s).
         """
-        dt, q, grid = self.dt, self.qpath[:n], self.grid[:n]
+        dt, q = self.dt, self.qpath[:n]
         k = np.arange(n)
         lag = k[None, :] - k[:, None]
         ahead = lag >= 0  # [i, j]: t_i <= t_j
@@ -241,18 +185,16 @@ class DriverCovariance:
             m = np.where(ahead, q[:, None] * kernel[lag], 0.0)
             return dt * (np.cumsum(m, axis=0) - 0.5 * m[0] - 0.5 * m)
 
-        both = _two_time_values(self._h, grid, 0, "cdf")  # P(both stages by lag)
         if self.kind in ("SIS", "SIR"):
-            kernels = [np.ones(n), both]
+            kernels = [np.ones(n), np.asarray(self.spec.f.cdf(k * dt), dtype=float)]
         else:
-            kernels = [np.ones(n), np.asarray(self._h.g.cdf(k * dt), dtype=float), both]
-            # [i, j] = int_0^{t_i} q(s) P(onset by t_i - s, both by t_j - s) ds
-            pair = np.zeros((n, n))
-            for delta in range(n):
-                tt = _two_time_values(self._h, grid, delta, "cdf")[: n - delta]
-                i = k[: n - delta]
-                conv = np.convolve(q[: n - delta], tt)[: n - delta]
-                pair[i, i + delta] = dt * (conv - 0.5 * q[0] * tt - 0.5 * q[i] * tt[0])
+            # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi
+            rows = _conv_cdf_values(self.spec.h, self.grid[:n], n)
+            kernels = [np.ones(n), np.asarray(self.spec.h.g.cdf(k * dt), dtype=float), rows[0]]
+            # [d, i] = int_0^{t_i} q(s) rows[d](t_i - s) ds, product trapezoid
+            conv = dt * (_conv_head(rows, q, n) - 0.5 * q[0] * rows - 0.5 * rows[:, :1] * q)
+            conv[:, 0] = 0.0  # an integral over an empty interval
+            pair = conv[lag, k[:, None]]  # [i, j] = conv[j - i, i]
         tables = [integrate(kernel) for kernel in kernels]
         diag = [np.diagonal(table) for table in tables]
         m = len(kernels)
@@ -279,17 +221,16 @@ class DriverCovariance:
             c = np.minimum.outer(sf, sf) - np.outer(sf, sf)
             return (mass * c)[None, :, None, :]
         # in stage 1 (e) and in stage 2 (i) of h0
-        g0sf = np.asarray(self._h0.g.sf(t), dtype=float)
-        tails = [_two_time_values(self._h0, self.grid[:n], d, "sf") for d in range(n)]
+        h0, grid = self.spec.residual_joint(), self.grid[:n]
+        g0sf = np.asarray(h0.g.sf(t), dtype=float)
+        # tails[d, k] = P(stage 1 over by t_k, stage 2 still running at t_{k+d})
+        tails = h0.g.cdf(grid) - _conv_cdf_values(h0, grid, n)
         psi0 = tails[0]
-        m_ii = np.empty((n, n))
-        m_ei = np.zeros((n, n))
-        for d, arr in enumerate(tails):
-            sl = np.arange(n - d)
-            m_ii[sl, sl + d] = arr[: n - d]
-            m_ii[sl + d, sl] = arr[: n - d]
-            if d > 0:
-                m_ei[sl, sl + d] = psi0[sl + d] - arr[: n - d]
+        k = np.arange(n)
+        lag = np.abs(k[None, :] - k[:, None])
+        m_ii = tails[lag, np.minimum.outer(k, k)]
+        # in stage 1 at t_i rules out stage 2 at any t_j <= t_i
+        m_ei = np.where(k[None, :] > k[:, None], psi0[None, :] - tails[lag, k[:, None]], 0.0)
         c_ei = m_ei - np.outer(g0sf, psi0)
         out = np.empty((2, n, 2, n))
         out[0, :, 0] = np.minimum.outer(g0sf, g0sf) - np.outer(g0sf, g0sf)

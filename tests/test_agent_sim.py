@@ -35,7 +35,13 @@ def test_spec_validation_and_defaults():
     assert s.h0.g == equilibrium_dist(Gamma(2.0, 4.0)) and s.h0.f == Exponential(1.0)
     assert s.f0 == Exponential(1.0)  # stationary excess of Exp is itself
     s = ModelSpec(kind="SIRS", lam=1.0, i0=0.1, r0=0.2, h=h)
+    assert s.h0.g == equilibrium_dist(Gamma(2.0, 4.0)) and s.h0.f == Exponential(1.0)
     assert s.f0 == Exponential(1.0)
+    # a pool with zero mass leaves its law unset
+    assert ModelSpec(kind="SEIR", lam=1.0, i0=0.1, h=h).h0 is None
+    assert ModelSpec(kind="SEIR", lam=1.0, i0=0.0, e0=0.1, h=h).f0 is None
+    assert ModelSpec(kind="SIRS", lam=1.0, i0=0.1, h=h).f0 is None
+    assert ModelSpec(kind="SIRS", lam=1.0, i0=0.0, r0=0.1, h=h).h0 is None
 
     with pytest.raises(ValueError):
         ModelSpec(kind="SIRX", lam=1.0, i0=0.1, f=Exponential(1.0))
@@ -59,6 +65,8 @@ def test_spec_validation_and_defaults():
     )
     with pytest.raises(ValueError):
         ModelSpec(kind="SEIR", lam=1.0, i0=0.0, e0=0.1, h=hb)
+    with pytest.raises(ValueError, match="no default residual law"):
+        ModelSpec(kind="SIRS", lam=1.0, i0=0.1, h=hb)
     with pytest.raises(ValueError):
         TabulatedRate(times=(0.0, 1.0), values=(1.0, -0.5))
     with pytest.raises(ValueError):

@@ -16,13 +16,14 @@ from epilim import (
     Uniform,
     Weibull,
     solve_fluid,
+    tabulate_kernels,
     uniform_grid,
 )
+from epilim.distributions import _conv_cdf_values
 from epilim.fclt import (
     DRIVER_IDS,
     DriverCovariance,
     _chol_psd,
-    _two_time_values,
     sample_drivers,
     sis_sde_path,
     solve_fclt_path,
@@ -131,6 +132,21 @@ def test_cumulative_driver_variance_equals_fluid_cumulative():
             # two-time value is the variance at the earlier time
             tlo, thi = grid[1], grid[k]
             assert cov.cov("MA", tlo, "MA", thi) == pytest.approx(fl.A[1], abs=1e-10)
+    # the variance of a W count is its fluid mean: R1 against the fluid's R
+    # less its initial pools, with an atom in the second stage
+    grid = uniform_grid(4.0, 0.1)
+    h = JointDurationDist(g=Uniform(0.5, 1.5), f=Deterministic(1.0))
+    for spec in (ModelSpec(kind="SEIR", lam=1.5, i0=0.05, e0=0.05, h=h),
+                 ModelSpec(kind="SIRS", lam=1.5, i0=0.05, r0=0.1, h=h)):
+        fl = solve_fluid(spec, grid)
+        kt = tabulate_kernels(spec.h, spec.h0, grid)
+        if spec.kind == "SEIR":
+            post = fl.R - spec.e0 * kt.phi0 - spec.i0 * spec.f0.cdf(grid)
+        else:
+            post = fl.R - spec.i0 * kt.psi0 - spec.r0 * spec.f0.sf(grid)
+        cov = DriverCovariance(fl)
+        got = np.array([cov.cov("R1", t, "R1", t) for t in grid])
+        assert np.max(np.abs(got - post)) < 1e-12
 
 
 def test_initial_block_closed_form():
@@ -233,24 +249,35 @@ def test_seir_with_instant_exposure_reduces_to_sir():
 
 
 def test_two_time_quadrature():
+    # rows of the one Stieltjes sum, P(xi <= t_k, xi + eta <= t_{k+d}),
+    # against a fine Stieltjes sum
     grid = uniform_grid(2.0, 0.05)
-    # sf and cdf modes are complementary under the first-stage mass
-    hb = JointDurationDist(g=Uniform(0.1, 1.1), bucket_centers=(0.3, 0.9),
-                           bucket_dists=(Exponential(2.0), Exponential(0.5)))
-    for h in (hb, JointDurationDist(g=Gamma(2.0, 3.0), f=Weibull(1.5, 0.8))):
-        for delta in (0, 4, -3):
-            s = _two_time_values(h, grid, delta, "sf")
-            c = _two_time_values(h, grid, delta, "cdf")
-            assert np.max(np.abs(s + c - h.g.cdf(grid))) < 1e-12
-    # independent case against a fine Stieltjes sum
     h = JointDurationDist(g=Gamma(2.0, 3.0), f=Weibull(1.5, 0.8))
-    for k, delta in [(15, 0), (20, 3), (30, -2)]:
-        got = _two_time_values(h, grid, delta, "cdf")[k]
+    rows = _conv_cdf_values(h, grid, 9)
+    for k, delta in [(15, 0), (20, 3), (30, 8)]:
         ys = np.linspace(0.0, grid[k], 40001)
         mids = 0.5 * (ys[1:] + ys[:-1])
         dg = np.diff(h.g.cdf(ys))
         want = float(np.sum(h.f.cdf((k + delta) * 0.05 - mids) * dg))
-        assert got == pytest.approx(want, abs=5e-4)
+        assert rows[delta, k] == pytest.approx(want, abs=5e-4)
+
+
+def test_bucketed_driver_law_converges_at_second_order():
+    # every driver covariance of a bucketed SIRS law at three time pairs,
+    # against dt = 0.003125: halving dt cuts the error about fourfold
+    h = JointDurationDist(g=Exponential(1.0), bucket_centers=(0.3, 0.9),
+                          bucket_dists=(Uniform(0.5, 1.5), Gamma(2.0, 3.0)))
+    spec = ModelSpec(kind="SIRS", lam=2.5, i0=0.1, r0=0.15, h=h, h0=h, f0=Exponential(1.0))
+    ids = DRIVER_IDS["SIRS"]
+
+    def covs(dt):
+        cov = DriverCovariance(solve_fluid(spec, uniform_grid(2.0, dt)))
+        return np.array([cov.cov(x, t, y, tp) for t, tp in [(0.5, 1.0), (1.0, 1.0), (1.5, 2.0)]
+                         for x in ids for y in ids])
+
+    ref = covs(0.003125)
+    err = [np.max(np.abs(covs(dt) - ref)) for dt in (0.05, 0.025, 0.0125)]
+    assert err[1] / err[2] >= 3.0
 
 
 def test_joint_covariance_matrix_is_psd():

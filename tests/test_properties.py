@@ -115,20 +115,31 @@ def _joint_laws(draw):
 
 
 def _direct_head(a, b, m):
-    return np.convolve(a, b)[:m]
+    # np.convolve row by row over the batch in a
+    rows = [np.convolve(r, b)[:m] for r in a.reshape(-1, a.shape[-1])]
+    return np.reshape(rows, a.shape[:-1] + (m,))
 
 
 @_SETTINGS
-@given(_joint_laws())
-def test_tabulate_kernels_matches_direct_convolution(case):
+@given(_joint_laws(), st.integers(1, 8))
+def test_tabulate_kernels_matches_direct_convolution(case, shifts):
     h, h0, grid = case
     kt = tabulate_kernels(h, h0, grid)
+    rows = distributions._conv_cdf_values(h, grid, shifts)
     with mock.patch.object(distributions, "_conv_head", _direct_head):
         ref = tabulate_kernels(h, h0, grid)
+        ref_rows = distributions._conv_cdf_values(h, grid, shifts)
     for name in ("phi", "psi", "phi0", "psi0"):
         assert np.max(np.abs(getattr(kt, name) - getattr(ref, name))) <= 1e-13, name
     np.testing.assert_array_equal(kt.psi, h.g.cdf(grid) - kt.phi)
     np.testing.assert_array_equal(kt.psi0, h0.g.cdf(grid) - kt.phi0)
+    # row d is P(xi <= t_k, xi + eta <= t_{k+d}), given where k + d < n:
+    # nondecreasing in d and at most G(t_k), up to the FFT's rounding
+    valid = np.arange(len(grid)) + np.arange(shifts)[:, None] < len(grid)
+    assert np.max(np.abs(rows - ref_rows)[valid]) <= 1e-13
+    np.testing.assert_array_equal(rows[0], kt.phi)
+    assert np.all(np.diff(rows, axis=0)[valid[1:]] >= -1e-15)
+    assert np.all((rows <= h.g.cdf(grid) + 1e-15)[valid])
 
 
 @st.composite
