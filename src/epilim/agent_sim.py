@@ -5,14 +5,20 @@ newly infected agent draws its period durations up front and its later
 transitions are scheduled in a priority queue. Between events the intensity
 is constant, so the next infection candidate is an exponential draw; a
 time-tabulated rate is handled by thinning against its maximum. No time
-discretization anywhere: the compartment path is the exact state sampled at
-grid times, up to the last grid node.
+discretization anywhere.
+
+The loop keeps the paper's epoch representation: it tracks only S and I,
+which set the infection rate, and the infection epochs. Each count is a sum
+of indicators over the epochs and the periods drawn at them, so the path
+(the exact state at the grid times, up to the last node) and the event log
+are counted from them after the loop. Initial agents get the ids 0..k-1 in
+pool order; then each infection gets a new id in epoch order, never reused.
 
 One table, ``_STAGES``, says for each model kind which agent pools exist,
 which ``ModelSpec`` law their periods come from and which transitions their
-members pass through; ``simulate`` schedules every kind from it. Readers of
-the event log share one vectorized replay, ``_replay``: the compartment
-counts after each event as a cumulative sum of ``transition_deltas``.
+members pass through; ``transition_deltas`` says what each transition does
+to the counts. The loop, the path counts and ``_replay``, the vectorized
+replay of an event log, all read these two.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import functools
 import heapq
 import itertools
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -220,7 +227,9 @@ class ModelSpec:
 
 @dataclass
 class EventLog:
-    """All transitions of one run, in processing order."""
+    """All transitions of one run up to the last grid node, in processing
+    order: by time, agent id and code. Initial agents have the ids 0..k-1 in
+    pool order; each later infection has a new id in epoch order, never reused."""
 
     times: np.ndarray
     agents: np.ndarray
@@ -269,6 +278,11 @@ def transition_deltas(kind: str, code: int):
     raise ValueError(f"unknown transition code {code}")
 
 
+def _delta_table(kind: str) -> np.ndarray:
+    """``transition_deltas`` of every code, as a (code, compartment) array."""
+    return np.array([transition_deltas(kind, c) for c in range(4)], dtype=np.int64)
+
+
 def _pool(make, block=1024):
     """Scalar draws from a vectorized sampler, as a C-level ``__next__``: the
     first block is drawn now, each later one when the last is used up."""
@@ -296,8 +310,8 @@ def simulate(spec: ModelSpec, n: int, horizon: float, grid_dt: float, rng=None, 
 
 
 def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
-    """``simulate``, with the EventLog None unless kept: the loop then skips
-    its per-event appends."""
+    """``simulate``, with the EventLog None unless kept; the log is built
+    after the loop, and only when kept."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if horizon <= 0:
@@ -305,45 +319,46 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
     if rng is None:
         rng = np.random.default_rng(seed)
     grid = uniform_grid(horizon, grid_dt)
-    kn = len(grid)
     t_end = float(grid[-1])
-    gtimes = grid.tolist() + [math.inf]  # the sentinel ends every node scan
     kind = spec.kind
 
     counts = _initial_counts(spec, n)
     i0n, e0n, r0n = counts["i0"], counts["e0"], counts["r0"]
-    if i0n + e0n + r0n > n:
+    k0 = i0n + e0n + r0n
+    if k0 > n:
         raise ValueError("initial counts exceed n after rounding")
 
-    S = n - i0n - e0n - r0n
-    E, I, R = e0n, i0n, r0n
-    A = 0
-    L = 0
-
-    # schedule the initial agents' transitions, pool by pool in id order:
-    # ids 0..i0n-1 are initially infectious, then exposed (SEIR) or immune
-    # (SIRS), then susceptibles
+    # schedule the initial agents' transitions, pool by pool in id order;
+    # a (code, times, first id) segment holds one transition of consecutive
+    # ids, for the counts after the loop
     *initial, (_, new_law, new_codes) = _STAGES[kind]
+    segments = []
     heap: list = []
-    next_fresh = 0
+    first = 0
     for pool, law, codes in initial:
         k = counts[pool]
         if k:
             ends = np.cumsum(_periods(getattr(spec, law), rng, k, len(codes)), axis=0)
-            ids = range(next_fresh, next_fresh + k)
-            for code, row in zip(codes, ends.tolist()):
-                heap.extend(zip(row, ids, [code] * k))
-        next_fresh += k
+            ids = range(first, first + k)
+            for code, row in zip(codes, ends):
+                heap.extend(zip(row.tolist(), ids, [code] * k))
+                segments.append((code, row, first))
+        first += k
     # entries (t, id, code) are distinct, so the pop order does not depend
     # on how the heap was built
     heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
+    push, pop = heapq.heappush, heapq.heappop
 
     new_law = getattr(spec, new_law)
     stages = len(new_codes)
     first_code, second_code = (new_codes + (None,))[:2]
-    new_draw = _pool(lambda k: _periods(new_law, rng, k, stages).T.tolist(), 512)
+    blocks = []  # the new infections' periods, kept as drawn
+
+    def new_block(k):
+        blocks.append(_periods(new_law, rng, k, stages))
+        return blocks[-1].T.tolist()
+
+    new_draw = _pool(new_block, 512)
     # Python floats: faster than numpy scalars in the loop, and a rate too
     # small for the next candidate time gives inf without a warning
     edraw = _pool(lambda k: rng.exponential(size=k).tolist())
@@ -353,82 +368,66 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
         udraw = _pool(lambda k: rng.uniform(size=k).tolist())
         lam_at = spec.lam.at
 
-    freed: list = []
-    lt, la, lc = [], [], []  # the log: event times, agent ids and codes
-    rec = np.empty((kn, 6), np.int64)
-    node = 0
-
+    deltas = _delta_table(kind)
+    step = deltas[:, [0, 2]].tolist()  # (dS, dI) of each code
+    S, I = n - k0, i0n
+    taus = array("d")  # the infection epochs; epoch j belongs to id k0 + j
+    tau = taus.append
+    aid = k0 - 1
     INF = math.inf
-    seir = kind == "SEIR"
-    sis = kind == "SIS"
     t = 0.0
 
     while True:
         t_sched = heap[0][0] if heap else INF
         si = S * I
-        if si and lam_max:
-            t_cand = t + edraw() * n / (lam_max * si)
+        t_cand = t + edraw() * n / (lam_max * si) if si and lam_max else INF
+        if t_sched <= t_cand:  # ties go to the scheduled event
+            if t_sched > t_end:
+                break
+            t, _, code = pop(heap)
         else:
-            t_cand = INF
-        scheduled = t_sched <= t_cand  # ties go to the scheduled event
-        te = t_sched if scheduled else t_cand
-        if te > t_end:
-            te = INF
-        while gtimes[node] < te:
-            rec[node] = S, E, I, R, A, L
-            node += 1
-        if te == INF:
-            break
-        t = te
-        if scheduled:
-            _, aid, code = pop(heap)
-            if code == RECOVER:
-                I -= 1
-                R += 1
-            elif code == BECOME_INFECTIOUS:
-                E -= 1
-                I += 1
-                L += 1
-            else:  # BECOME_SUSCEPTIBLE
-                if sis:
-                    I -= 1
-                else:
-                    R -= 1
-                S += 1
-                push(freed, aid)
-        else:
-            if lam_const is None and udraw() * lam_max > lam_at(te):
+            if t_cand > t_end:
+                break
+            t = t_cand
+            if lam_const is None and udraw() * lam_max > lam_at(t):
                 continue  # thinned candidate, state unchanged
-            if freed:
-                aid = pop(freed)
-            else:
-                aid = next_fresh
-                next_fresh += 1
-            S -= 1
-            A += 1
-            if seir:
-                E += 1
-            else:
-                I += 1
-                L += 1
+            aid += 1
+            tau(t)
             d = new_draw()
-            tx = te + d[0]
+            tx = t + d[0]
             push(heap, (tx, aid, first_code))
             if second_code is not None:
                 push(heap, (tx + d[1], aid, second_code))
             code = INFECT
-        if keep_log:
-            lt.append(te)
-            la.append(aid)
-            lc.append(code)
+        ds, di = step[code]
+        S += ds
+        I += di
 
-    path = CompartmentPath(grid=grid, **dict(zip("SEIRAL", rec.T.copy())), n=n,
-                           kind=kind, seed=seed)
+    # the new infections' transition times, summed in the loop's order:
+    # tau, tau + d0, (tau + d0) + d1
+    ends = np.vstack([taus, np.concatenate(blocks, axis=1)[:, :len(taus)]])
+    np.cumsum(ends, axis=0, out=ends)
+    segments += zip((INFECT,) + new_codes, ends, itertools.repeat(k0))
+
+    # each code's events up to each node; times past the last node count at none
+    hits = np.zeros((4, len(grid)), dtype=np.int64)
+    for code, times, _ in segments:
+        hits[code] += np.searchsorted(np.sort(times), grid, side="right")
+    start = np.array([n - k0, e0n, i0n, r0n], dtype=np.int64)
+    onset = BECOME_INFECTIOUS if kind == "SEIR" else INFECT
+    rows = np.vstack([start[:, None] + deltas.T @ hits, hits[[INFECT, onset]]])
+    path = CompartmentPath(grid=grid, **dict(zip("SEIRAL", rows)), n=n, kind=kind, seed=seed)
     if not keep_log:
         return path, None
-    log = EventLog(times=np.asarray(lt, dtype=float), agents=np.asarray(la, dtype=np.int64),
-                   codes=np.asarray(lc, dtype=np.int8), kind=kind, n=n, i0_count=i0n,
-                   e0_count=e0n, r0_count=r0n)
+
+    # ids rise with epochs and a scheduled event wins a tie with an infection,
+    # so ordering by (time, id, code) is the loop's processing order
+    times = np.concatenate([ts for _, ts, _ in segments])
+    agents = np.concatenate([np.arange(a, a + len(ts), dtype=np.int64) for _, ts, a in segments])
+    codes = np.concatenate([np.full(len(ts), c, dtype=np.int8) for c, ts, _ in segments])
+    order = np.lexsort((codes, agents, times))[:np.count_nonzero(times <= t_end)]
+    log = EventLog(times=times[order], agents=agents[order], codes=codes[order], kind=kind,
+                   n=n, i0_count=i0n, e0_count=e0n, r0_count=r0n)
     return path, log
 
 
@@ -460,7 +459,7 @@ def simulate_ensemble(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    kn = int(round(horizon / grid_dt)) + 1
+    kn = len(uniform_grid(horizon, grid_dt))
     est = reps * kn * 6 * 8 + reps * 2048
     if keep_logs:
         *initial, (_, _, new_codes) = _STAGES[spec.kind]
@@ -487,7 +486,7 @@ def simulate_ensemble(
 def _replay(log: EventLog):
     """(S, I) counts after the first k events of the log, k = 0..len(log),
     as the cumulative sum of the events' transition deltas."""
-    deltas = np.array([transition_deltas(log.kind, c) for c in range(4)], dtype=np.int64)
+    deltas = _delta_table(log.kind)
     start = (log.n - log.i0_count - log.e0_count - log.r0_count,
              log.e0_count, log.i0_count, log.r0_count)
     counts = np.cumsum(np.vstack([start, deltas[log.codes]]), axis=0)

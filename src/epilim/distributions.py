@@ -66,6 +66,15 @@ def _asarr(t):
     return np.asarray(t, dtype=float)
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _t_sf(t, sf):
+    """t * sf(t) for t >= 0, with t capped at the largest float: at t = inf,
+    where sf is 0, that gives the limit 0 and not inf * 0."""
+    return np.minimum(t, _FLOAT_MAX) * sf
+
+
 class DurationDist:
     """Base class for nonnegative duration laws.
 
@@ -244,7 +253,7 @@ class Gamma(DurationDist):
         t = np.clip(_asarr(t), 0.0, None)
         x = t / (1.0 / self.rate)
         part = self.mean() * special.gammainc(self.shape + 1.0, x)
-        return t * special.gammaincc(self.shape, x) + part
+        return _t_sf(t, special.gammaincc(self.shape, x)) + part
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
@@ -280,7 +289,7 @@ class LogNormal(DurationDist):
             sf = special.ndtr(-np.log(t / math.exp(self.mu)) / self.sigma)
             z = (np.log(t) - self.mu - self.sigma**2) / self.sigma
         part = self.mean() * special.ndtr(np.where(t > 0, z, -np.inf))
-        return t * sf + part
+        return _t_sf(t, sf) + part
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
@@ -313,7 +322,7 @@ class Weibull(DurationDist):
         u = (t / self.scale) ** self.shape
         # partial mean via the regularized lower incomplete gamma function
         part = self.mean() * special.gammainc(1.0 + 1.0 / self.shape, u)
-        return t * np.exp(-u) + part
+        return _t_sf(t, np.exp(-u)) + part
 
     def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
@@ -449,7 +458,7 @@ class _EquilibriumDist(DurationDist):
 
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
-        hi = float(np.max(t)) if t.size else 0.0
+        hi = float(np.max(t, initial=0.0, where=np.isfinite(t)))
         if self._cache is None or hi > self._cache_hi:
             self._cache_hi = max(hi, 1.0) * 2.0
             xs = np.linspace(0.0, self._cache_hi, 20001)
@@ -457,7 +466,10 @@ class _EquilibriumDist(DurationDist):
             cum = np.concatenate([[0.0], np.cumsum(0.5 * (sf[1:] + sf[:-1]) * np.diff(xs))])
             self._cache = (xs, cum)
         xs, cum = self._cache
-        return np.interp(t, xs, cum)
+        out = np.interp(t, xs, cum)
+        if np.isinf(t).any():  # the whole integral is the mean
+            out = np.where(np.isinf(t), self.mean(), out)[()]
+        return out
 
     def sample(self, rng, size=None):
         u = rng.uniform(size=size)

@@ -234,7 +234,8 @@ def reconstruct_drivers(log: EventLog, spec: ModelSpec, times) -> dict:
     taus = log.times[log.codes == INFECT]
     # An exit ends a post-time-zero infection unless it is the first log
     # entry of its agent id: only initial agents exit with no infection
-    # before them, and SIS gives freed ids to later infections.
+    # before them. The simulator never reuses an id, but the rule does not
+    # rely on that, so a log that reuses ids reads the same.
     first = np.zeros(len(log), dtype=bool)
     first[np.unique(log.agents, return_index=True)[1]] = True
     exit_code = _STAGES[log.kind][-1][2][-1]

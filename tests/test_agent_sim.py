@@ -268,6 +268,8 @@ def test_ensemble_determinism_and_guards():
     assert len(simulate_ensemble(spec, 20_000, 3, 2.0, 0.1, **small)) == 3
     with pytest.raises(ValueError):
         simulate_ensemble(spec, 500, 0, 2.0, 0.1, master_seed=7)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        simulate_ensemble(spec, 500, 3, 2.0, 0.0, master_seed=7)
     _, logs = simulate_ensemble(spec, 200, 2, 1.0, 0.1, master_seed=9, keep_logs=True)
     assert len(logs) == 2 and logs[0].n == 200
 

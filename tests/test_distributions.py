@@ -104,13 +104,37 @@ def test_gamma_lognormal_equal_scipy_stats_bitwise(d):
     rng = np.random.default_rng(17)
     ts = np.concatenate([[0.0, 1e-300, 5e-324, 1e3, -1.0, np.inf],
                          rng.exponential(2.0 * d.mean(), 20_000)])
-    with np.errstate(invalid="ignore"):  # t * sf(t) is inf * 0 at t = inf
+    with np.errstate(invalid="ignore"):  # the formula's t * sf(t) is inf * 0 at t = inf
         for name, want in _stats_formulas(d).items():
-            got = getattr(d, name)(ts)
-            assert got.dtype == np.float64 and got.tobytes() == want(ts).tobytes(), name
+            got, exp = getattr(d, name)(ts), want(ts)
+            if name == "int_sf":  # the law reads its limit, the mean, at t = inf
+                exp[5] = d.mean()
+            assert got.dtype == np.float64 and got.tobytes() == exp.tobytes(), name
             for t in (0.0, 1e-300, 0.7, 1e3, -2.0, np.inf):
                 g, w = getattr(d, name)(t), want(t)
+                if name == "int_sf" and t == np.inf:
+                    w = type(w)(d.mean())
                 assert type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_int_sf_at_infinity_is_the_mean():
+    # t * sf(t) tends to 0, not inf * 0; an equilibrium law sizes its
+    # quadrature cache from the finite times only, so a call at inf leaves
+    # every later finite value as it would have been
+    ts = np.linspace(0.0, 6.0, 61)
+    for base in ALL_FAMILIES + [Gamma(2.0, 2.0), Uniform(1.0, 3.0)]:
+        for make in (lambda: base, lambda: equilibrium_dist(base)):
+            d, fresh = make(), make()
+            assert d.int_sf(np.inf) == d.mean(), d
+            assert equilibrium_dist(d).cdf(np.inf) == 1.0, d
+            want = fresh.int_sf(ts)
+            assert d.int_sf(ts).tobytes() == want.tobytes(), d
+            mixed = make().int_sf(np.append(ts, np.inf))
+            assert mixed[:-1].tobytes() == want.tobytes() and mixed[-1] == d.mean(), d
+    d = equilibrium_dist(Gamma(2.0, 2.0))
+    d.int_sf(np.inf)
+    assert d.int_sf(1.0) == equilibrium_dist(Gamma(2.0, 2.0)).int_sf(1.0)
+    assert abs(d.int_sf(1.0) - 0.58083) < 1e-5
 
 
 def test_cdf_bounds_and_monotone():

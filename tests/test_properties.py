@@ -5,8 +5,9 @@ conv_full against the product-trapezoid sum written out, and the kernel
 tabulation against the same tabulation with np.convolve in place of the FFT.
 Over random models, the fluid conserves mass with monotone cumulatives and
 the fluctuation limit's compartments sum to zero; the simulator's event log
-replays to its path at every node, and the integrated infection intensity
-read from that log starts at 0 and never decreases.
+replays to its path at every node, gives each infection a new id in epoch
+order and each agent its pool's transitions in order, and the integrated
+infection intensity read from that log starts at 0 and never decreases.
 """
 
 from unittest import mock
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epilim import ModelSpec, TabulatedRate, distributions
-from epilim.agent_sim import _replay, integrated_intensity, simulate
+from epilim.agent_sim import (
+    _STAGES,
+    BECOME_INFECTIOUS,
+    INFECT,
+    _replay,
+    integrated_intensity,
+    simulate,
+)
 from epilim.distributions import (
     Deterministic,
     Exponential,
@@ -193,6 +201,29 @@ def test_replay_matches_path_and_intensity_is_monotone(case, n, seed):
     k = np.searchsorted(log.times, path.grid, side="right")
     np.testing.assert_array_equal(S[k], path.S)
     np.testing.assert_array_equal(I[k], path.I)
+    # A and L count the log's infections and onsets of infectiousness
+    onset = BECOME_INFECTIOUS if spec.kind == "SEIR" else INFECT
+    for got, code in ((path.A, INFECT), (path.L, onset)):
+        np.testing.assert_array_equal(np.cumsum(np.append(0, log.codes == code))[k], got)
+    # post-time-zero infections get the ids k0, k0 + 1, ... in epoch order,
+    # and every agent passes through its pool's codes in order, starting
+    # from its infection if it has one
+    k0 = log.i0_count + log.e0_count + log.r0_count
+    infected = log.agents[log.codes == INFECT]
+    np.testing.assert_array_equal(infected, np.arange(k0, k0 + len(infected)))
+    sizes = {"i0": log.i0_count, "e0": log.e0_count, "r0": log.r0_count}
+    expect, first = {}, 0
+    for pool, _, codes in _STAGES[spec.kind]:
+        if pool == "new":
+            expect.update((a, (INFECT,) + codes) for a in infected.tolist())
+        else:
+            expect.update((a, codes) for a in range(first, first + sizes[pool]))
+            first += sizes[pool]
+    for a in np.unique(log.agents).tolist():
+        mine = log.agents == a
+        got = tuple(log.codes[mine].tolist())
+        assert got == expect[a][:len(got)], (a, got)
+        assert np.all(np.diff(log.times[mine]) >= 0.0)
     ts = np.sort(np.concatenate([path.grid, log.times]))
     lam_bar = integrated_intensity(log, spec, ts)
     assert lam_bar[0] == 0.0
