@@ -37,6 +37,7 @@ import numpy as np
 from .distributions import (
     DurationDist,
     JointDurationDist,
+    _grid_steps,
     equilibrium_dist,
     uniform_grid,
 )
@@ -459,7 +460,7 @@ def simulate_ensemble(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    kn = len(uniform_grid(horizon, grid_dt))
+    kn = _grid_steps(horizon, grid_dt) + 1
     est = reps * kn * 6 * 8 + reps * 2048
     if keep_logs:
         *initial, (_, _, new_codes) = _STAGES[spec.kind]

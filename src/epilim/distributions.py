@@ -40,13 +40,18 @@ __all__ = [
 ]
 
 
-def uniform_grid(horizon: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2dt, ..., horizon (horizon rounded to a whole step)."""
+def _grid_steps(horizon: float, dt: float) -> int:
+    """Number of steps of ``uniform_grid(horizon, dt)``, without building it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < dt:
         raise ValueError("horizon must be at least dt")
-    k = int(round(horizon / dt))
+    return int(round(horizon / dt))
+
+
+def uniform_grid(horizon: float, dt: float) -> np.ndarray:
+    """Uniform grid 0, dt, 2dt, ..., horizon (horizon rounded to a whole step)."""
+    k = _grid_steps(horizon, dt)
     return np.linspace(0.0, k * dt, k + 1)
 
 
@@ -466,10 +471,7 @@ class _EquilibriumDist(DurationDist):
             cum = np.concatenate([[0.0], np.cumsum(0.5 * (sf[1:] + sf[:-1]) * np.diff(xs))])
             self._cache = (xs, cum)
         xs, cum = self._cache
-        out = np.interp(t, xs, cum)
-        if np.isinf(t).any():  # the whole integral is the mean
-            out = np.where(np.isinf(t), self.mean(), out)[()]
-        return out
+        return np.where(np.isinf(t), self.mean(), np.interp(t, xs, cum))[()]
 
     def sample(self, rng, size=None):
         u = rng.uniform(size=size)
