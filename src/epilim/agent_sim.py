@@ -315,8 +315,6 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
     after the loop, and only when kept."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
     grid = uniform_grid(horizon, grid_dt)

@@ -268,11 +268,15 @@ def test_ensemble_determinism_and_guards():
     assert len(simulate_ensemble(spec, 20_000, 3, 2.0, 0.1, **small)) == 3
     with pytest.raises(ValueError):
         simulate_ensemble(spec, 500, 0, 2.0, 0.1, master_seed=7)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        simulate_ensemble(spec, 500, 3, 2.0, 0.0, master_seed=7)
     # the guard sizes the grid without building it: 1e10 nodes is refused, not allocated
     with pytest.raises(ValueError, match="GB"):
         simulate_ensemble(spec, 500, 1, 10.0, 1e-9, master_seed=7)
+    # simulate and the ensemble share uniform_grid's checks
+    for horizon, dt, msg in ((0.0, 0.1, "horizon"), (2.0, 0.0, "dt must be positive")):
+        with pytest.raises(ValueError, match=msg):
+            simulate(spec, 500, horizon, dt, seed=1)
+        with pytest.raises(ValueError, match=msg):
+            simulate_ensemble(spec, 500, 3, horizon, dt, master_seed=7)
     _, logs = simulate_ensemble(spec, 200, 2, 1.0, 0.1, master_seed=9, keep_logs=True)
     assert len(logs) == 2 and logs[0].n == 200
 
