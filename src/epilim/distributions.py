@@ -8,6 +8,9 @@ periods, and the tabulated kernels
     Phi(t) = P(xi + eta <= t),    Psi(t) = P(xi <= t < xi + eta),
 
 on a uniform grid, with Psi = G - Phi enforced exactly by construction.
+
+Each family gives int_0^t sf and int_0^t s sf(s) ds in closed form; its
+second moment and its stationary-excess law are exact functions of them.
 """
 
 from __future__ import annotations
@@ -80,12 +83,17 @@ def _t_sf(t, sf):
     return np.minimum(t, _FLOAT_MAX) * sf
 
 
+def _half_sq(t, part2, sf):
+    """int_0^t s sf(s) ds = (E[X^2; X <= t] + t^2 sf(t)) / 2, with t^2 sf as t * (t * sf)."""
+    return 0.5 * (part2 + _t_sf(t, _t_sf(t, sf)))
+
+
 class DurationDist:
     """Base class for nonnegative duration laws.
 
-    Subclasses provide cdf, mean, second_moment, atoms, int_sf (the
-    integrated survival function) and sample. Survival is always computed
-    as 1 - cdf so the two can never drift apart.
+    Subclasses provide cdf, mean, atoms, sample, int_sf (int_0^t sf) and
+    _int_t_sf (int_0^t s sf(s) ds), the last two in closed form; second_moment
+    is derived from _int_t_sf. Survival is always 1 - cdf, so the two never drift.
     """
 
     family = "abstract"
@@ -100,7 +108,8 @@ class DurationDist:
         raise NotImplementedError
 
     def second_moment(self) -> float:
-        raise NotImplementedError
+        """E[X^2] = 2 int_0^inf s sf(s) ds."""
+        return float(2.0 * self._int_t_sf(np.inf))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         """Discontinuities of the CDF as (location, jump) pairs."""
@@ -108,6 +117,10 @@ class DurationDist:
 
     def int_sf(self, t):
         """Integrated survival: int_0^t sf(s) ds, elementwise, 0 for t<=0."""
+        raise NotImplementedError
+
+    def _int_t_sf(self, t):
+        """int_0^t s sf(s) ds = E[min(X, t)^2] / 2, elementwise, 0 for t<=0."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -154,12 +167,11 @@ class Exponential(DurationDist):
     def mean(self):
         return 1.0 / self.rate
 
-    def second_moment(self):
-        return 2.0 / self.rate**2
-
     def int_sf(self, t):
-        t = _asarr(t)
-        return -np.expm1(-self.rate * np.clip(t, 0.0, None)) / self.rate
+        return self.cdf(t) / self.rate
+
+    def _int_t_sf(self, t):
+        return Gamma(1.0, self.rate)._int_t_sf(t)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -182,14 +194,14 @@ class Deterministic(DurationDist):
     def mean(self):
         return self.value
 
-    def second_moment(self):
-        return self.value**2
-
     def atoms(self):
         return ((self.value, 1.0),)
 
     def int_sf(self, t):
         return np.clip(_asarr(t), 0.0, self.value)
+
+    def _int_t_sf(self, t):
+        return 0.5 * np.clip(_asarr(t), 0.0, self.value) ** 2
 
     def sample(self, rng, size=None):
         if size is None:
@@ -216,15 +228,16 @@ class Uniform(DurationDist):
     def mean(self):
         return 0.5 * (self.lo + self.hi)
 
-    def second_moment(self):
-        return (self.hi**3 - self.lo**3) / (3.0 * (self.hi - self.lo))
-
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
         w = self.hi - self.lo
-        x = np.clip(t, None, self.hi)
-        inner = (w**2 - (self.hi - np.clip(x, self.lo, None)) ** 2) / (2.0 * w)
+        inner = (w**2 - (self.hi - np.clip(t, self.lo, self.hi)) ** 2) / (2.0 * w)
         return np.minimum(t, self.lo) + inner
+
+    def _int_t_sf(self, t):
+        t = np.clip(_asarr(t), 0.0, None)
+        x = np.clip(t, self.lo, self.hi)
+        return _half_sq(t, (x**3 - self.lo**3) / (3.0 * (self.hi - self.lo)), self.sf(t))
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size)
@@ -249,9 +262,6 @@ class Gamma(DurationDist):
     def mean(self):
         return self.shape / self.rate
 
-    def second_moment(self):
-        return self.shape * (self.shape + 1.0) / self.rate**2
-
     def int_sf(self, t):
         # int_0^t sf = t*sf(t) + int_0^t s f(s) ds, and the partial mean of a
         # Gamma(a, r) is (a/r) * CDF of Gamma(a+1, r).
@@ -259,6 +269,14 @@ class Gamma(DurationDist):
         x = t / (1.0 / self.rate)
         part = self.mean() * special.gammainc(self.shape + 1.0, x)
         return _t_sf(t, special.gammaincc(self.shape, x)) + part
+
+    def _int_t_sf(self, t):
+        # the partial second moment is a(a+1)/r^2 * CDF of Gamma(a+2, r)
+        t = np.clip(_asarr(t), 0.0, None)
+        x = t / (1.0 / self.rate)
+        m2 = self.shape * (self.shape + 1.0) / self.rate**2
+        return _half_sq(t, m2 * special.gammainc(self.shape + 2.0, x),
+                        special.gammaincc(self.shape, x))
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
@@ -285,9 +303,6 @@ class LogNormal(DurationDist):
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
-    def second_moment(self):
-        return math.exp(2.0 * self.mu + 2.0 * self.sigma**2)
-
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
         with np.errstate(divide="ignore"):
@@ -295,6 +310,14 @@ class LogNormal(DurationDist):
             z = (np.log(t) - self.mu - self.sigma**2) / self.sigma
         part = self.mean() * special.ndtr(np.where(t > 0, z, -np.inf))
         return _t_sf(t, sf) + part
+
+    def _int_t_sf(self, t):
+        # the partial second moment is e^(2mu + 2sigma^2) Phi((ln t - mu - 2sigma^2) / sigma)
+        t = np.clip(_asarr(t), 0.0, None)
+        with np.errstate(divide="ignore"):
+            z = (np.log(t) - self.mu - 2.0 * self.sigma**2) / self.sigma
+        m2 = math.exp(2.0 * self.mu + 2.0 * self.sigma**2)
+        return _half_sq(t, m2 * special.ndtr(z), self.sf(t))
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
@@ -312,22 +335,29 @@ class Weibull(DurationDist):
         self.shape = float(shape)
         self.scale = float(scale)
 
+    def _u(self, t):
+        # (t / scale)^shape; where it overflows to inf, each use reads its exact limit
+        with np.errstate(over="ignore"):
+            return (t / self.scale) ** self.shape
+
     def cdf(self, t):
-        t = np.clip(_asarr(t), 0.0, None)
-        return -np.expm1(-((t / self.scale) ** self.shape))
+        return -np.expm1(-self._u(np.clip(_asarr(t), 0.0, None)))
 
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
-    def second_moment(self):
-        return self.scale**2 * math.gamma(1.0 + 2.0 / self.shape)
-
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
-        u = (t / self.scale) ** self.shape
+        u = self._u(t)
         # partial mean via the regularized lower incomplete gamma function
         part = self.mean() * special.gammainc(1.0 + 1.0 / self.shape, u)
         return _t_sf(t, np.exp(-u)) + part
+
+    def _int_t_sf(self, t):
+        t = np.clip(_asarr(t), 0.0, None)
+        u = self._u(t)
+        m2 = self.scale**2 * math.gamma(1.0 + 2.0 / self.shape)
+        return _half_sq(t, m2 * special.gammainc(1.0 + 2.0 / self.shape, u), np.exp(-u))
 
     def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
@@ -371,59 +401,39 @@ class PiecewiseEmpirical(DurationDist):
         return val
 
     def atoms(self):
-        out = []
-        if self.ps[0] > 0:
-            out.append((float(self.ts[0]), float(self.ps[0])))
-        for j in range(1, len(self.ts)):
-            if self.ts[j] == self.ts[j - 1] and self.ps[j] > self.ps[j - 1]:
-                out.append((float(self.ts[j]), float(self.ps[j] - self.ps[j - 1])))
-        return tuple(out)
+        # a jump of p at the first knot or at a repeated knot
+        jump = np.diff(self.ps, prepend=0.0)
+        at = (jump > 0) & (np.diff(self.ts, prepend=self.ts[0]) == 0)
+        return tuple((float(t), float(j)) for t, j in zip(self.ts[at], jump[at]))
 
-    def _segment_integrals(self):
-        # exact integral of sf over [0, ts[0]] and over each knot segment
-        sfk = 1.0 - self.ps
-        widths = np.diff(self.ts)
-        seg = widths * 0.5 * (sfk[:-1] + sfk[1:])
-        head = self.ts[0]
-        return head, seg
+    def _int_pow_sf(self, t, p):
+        """int_0^t s^p sf(s) ds for p = 0 or 1, exact: sf is 1 up to the
+        first knot and linear between knots, so each piece is a closed form."""
+        knots = np.concatenate([[0.0, self.ts[0]], self.ts])
+        sfk = np.concatenate([[1.0, 1.0], 1.0 - self.ps])
+
+        def piece(a, b, sa, sb):  # int_a^b s^p sf, sf linear from sa to sb
+            if p == 0:
+                return (b - a) * 0.5 * (sa + sb)
+            return (b - a) * (sa * (2.0 * a + b) + sb * (a + 2.0 * b)) / 6.0
+
+        cum = np.concatenate([[0.0], np.cumsum(piece(knots[:-1], knots[1:], sfk[:-1], sfk[1:]))])
+        t = np.clip(_asarr(t), 0.0, None)
+        i = np.clip(np.searchsorted(knots, t, side="right"), 1, len(knots) - 1)
+        a, b, sa, sb = knots[i - 1], knots[i], sfk[i - 1], sfk[i]
+        x = np.minimum(t, b)
+        # a piece of zero width (an atom) is reached only at its end, with x = a
+        sx = sa + (sb - sa) * (x - a) / np.where(b > a, b - a, 1.0)
+        return cum[i - 1] + piece(a, x, sa, sx)
 
     def mean(self):
-        head, seg = self._segment_integrals()
-        return float(head + seg.sum())
-
-    def second_moment(self):
-        # 2 * int t*sf(t) dt, exact on each linear segment
-        sfk = 1.0 - self.ps
-        total = self.ts[0] ** 2  # sf = 1 on [0, ts[0])
-        for j in range(len(self.ts) - 1):
-            a, b = self.ts[j], self.ts[j + 1]
-            if b == a:
-                continue
-            s0, s1 = sfk[j], sfk[j + 1]
-            slope = (s1 - s0) / (b - a)
-            # 2*int_a^b t*(s0 + slope*(t-a)) dt
-            total += 2.0 * (
-                (s0 - slope * a) * (b**2 - a**2) / 2.0 + slope * (b**3 - a**3) / 3.0
-            )
-        return float(total)
+        return float(self._int_pow_sf(np.inf, 0))
 
     def int_sf(self, t):
-        t = np.clip(_asarr(t), 0.0, None)
-        head, seg = self._segment_integrals()
-        cum = np.concatenate([[head], head + np.cumsum(seg)])  # value at each knot
-        sfk = 1.0 - self.ps
-        i = np.searchsorted(self.ts, t, side="right")
-        i = np.clip(i, 1, len(self.ts) - 1)
-        t0, t1 = self.ts[i - 1], self.ts[i]
-        s0, s1 = sfk[i - 1], sfk[i]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(t1 > t0, t1 - t0, 1.0)
-            x = np.clip(t - t0, 0.0, t1 - t0)
-            sft = s0 + (s1 - s0) * x / w
-        partial = cum[i - 1] + 0.5 * (s0 + sft) * x
-        out = np.where(t <= self.ts[0], t, partial)
-        out = np.where(t >= self.ts[-1], cum[-1], out)
-        return out
+        return self._int_pow_sf(t, 0)
+
+    def _int_t_sf(self, t):
+        return self._int_pow_sf(t, 1)
 
     def sample(self, rng, size=None):
         u = rng.uniform(size=size)
@@ -434,23 +444,18 @@ class PiecewiseEmpirical(DurationDist):
 
 
 class _EquilibriumDist(DurationDist):
-    """Stationary-excess law of a base distribution: F_e(t) = int_0^t sf / mean.
+    """Stationary-excess law F_e(t) = int_0^t sf / m of a base law with mean m.
 
-    Always absolutely continuous. int_sf falls back to a cached fine-grid
-    trapezoid (the concrete families all have closed forms; only this
-    wrapper needs the numeric route).
+    Absolutely continuous, exact and stateless: cdf, mean and int_sf are closed
+    forms in the base law's int_sf, _int_t_sf and second moment, and sample
+    inverts F_e by Newton's method. _int_t_sf (so second_moment) raises.
     """
 
     family = "EquilibriumOf"
 
-    def __init__(self, base: DurationDist):
-        m = base.mean()
-        if not np.isfinite(m) or m <= 0:
-            raise ValueError("base law needs a finite positive mean")
+    def __init__(self, base: DurationDist):  # equilibrium_dist checks the mean
         self.base = base
-        self._mean_base = m
-        self._cache_hi = 0.0
-        self._cache = None
+        self._mean_base = base.mean()
 
     def cdf(self, t):
         return np.clip(self.base.int_sf(t) / self._mean_base, 0.0, 1.0)
@@ -458,37 +463,35 @@ class _EquilibriumDist(DurationDist):
     def mean(self):
         return self.base.second_moment() / (2.0 * self._mean_base)
 
-    def second_moment(self):
+    def _int_t_sf(self, t):
         raise NotImplementedError("third moments of the base law are not tracked")
 
     def int_sf(self, t):
+        # by parts: int_0^t (1 - F_e) = (int_0^t s sf(s) ds + t int_t^inf sf) / m;
+        # the tail is exactly 0 where sf is, not m - int_sf's rounding
         t = np.clip(_asarr(t), 0.0, None)
-        hi = float(np.max(t, initial=0.0, where=np.isfinite(t)))
-        if self._cache is None or hi > self._cache_hi:
-            self._cache_hi = max(hi, 1.0) * 2.0
-            xs = np.linspace(0.0, self._cache_hi, 20001)
-            sf = self.sf(xs)
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (sf[1:] + sf[:-1]) * np.diff(xs))])
-            self._cache = (xs, cum)
-        xs, cum = self._cache
-        return np.where(np.isinf(t), self.mean(), np.interp(t, xs, cum))[()]
+        tail = np.where(self.base.sf(t) > 0, self._mean_base - self.base.int_sf(t), 0.0)
+        return (self.base._int_t_sf(t) + _t_sf(t, tail)) / self._mean_base
 
     def sample(self, rng, size=None):
+        # Newton's method for base.int_sf(x) = u * m from x = 0. F_e is concave
+        # (its density sf / m never increases), so no step passes the root; a
+        # draw stops once x stops rising, and steps back once sf(x) = 0, where
+        # rounding took it to or past the end of the support.
         u = rng.uniform(size=size)
-        scalar = size is None
-        u = np.atleast_1d(u)
-        hi = max(self._mean_base, 1.0)
-        while np.any(self.cdf(hi) < np.max(u)) and hi < 1e12:
-            hi *= 2.0
-        lo = np.zeros_like(u)
-        hiv = np.full_like(u, hi)
-        for _ in range(80):  # bisection, monotone continuous CDF
-            mid = 0.5 * (lo + hiv)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hiv = np.where(below, hiv, mid)
-        out = 0.5 * (lo + hiv)
-        return float(out[0]) if scalar else out
+        goal = np.ravel(u) * self._mean_base
+        x, prev = np.zeros_like(goal), np.zeros_like(goal)
+        live = np.arange(x.size)
+        while live.size:
+            xl = x[live]
+            sf = self.base.sf(xl)
+            out = sf == 0
+            x[live[out]] = prev[live[out]]
+            nxt = xl + (goal[live] - self.base.int_sf(xl)) / np.where(out, 1.0, sf)
+            moved = ~out & (nxt > xl)
+            live = live[moved]
+            prev[live], x[live] = xl[moved], nxt[moved]
+        return float(x[0]) if size is None else x.reshape(np.shape(u))
 
     def params(self):
         return self.base.params()
@@ -504,12 +507,9 @@ class _EquilibriumDist(DurationDist):
 
 
 def equilibrium_dist(d: DurationDist) -> DurationDist:
-    """Stationary-excess (residual lifetime) law of d.
-
-    Exponential laws are their own stationary excess; a point mass at eta
-    becomes Uniform(0, eta). Everything else is wrapped exactly via the
-    integrated survival function.
-    """
+    """Stationary-excess (residual lifetime) law of d: an Exponential law is
+    its own, a point mass at eta gives Uniform(0, eta), and any other law is
+    wrapped in the exact _EquilibriumDist."""
     m = d.mean()
     if not np.isfinite(m) or m <= 0:
         raise ValueError(f"equilibrium law undefined: mean(d) = {m}")
@@ -582,8 +582,7 @@ class JointDurationDist:
     def conditional(self, u: float) -> DurationDist:
         if self.independent:
             return self.f
-        centers = np.asarray(self.bucket_centers)
-        return self.bucket_dists[int(np.argmin(np.abs(centers - u)))]
+        return self.bucket_dists[int(self._bucket_index(u))]
 
     def _bucket_index(self, u):
         centers = np.asarray(self.bucket_centers)

@@ -103,7 +103,7 @@ class DriverCovariance:
 
     def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
         spec = spec if spec is not None else fluid.spec
-        if spec is None:
+        if not isinstance(spec, ModelSpec):  # the ODE and delay solvers keep a dict
             raise ValueError("need the model spec (fluid.spec or an explicit one)")
         if spec.kind != fluid.kind:
             raise ValueError("spec kind does not match the fluid solution")

@@ -1,10 +1,11 @@
 """Duration laws, stationary-excess transform, and kernel tabulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from epilim.distributions import (
     Deterministic,
@@ -32,6 +33,27 @@ ALL_FAMILIES = [
     Weibull(1.5, 1.0),
     PiecewiseEmpirical((0.0, 1.0, 2.0), (0.1, 0.6, 1.0)),
 ]
+# a zero-mass first piece and an interior atom
+INTERIOR_ATOM = PiecewiseEmpirical((0.5, 1.0, 1.0, 2.0), (0.0, 0.3, 0.7, 1.0))
+
+
+def _quad(f, t, law):
+    """int_0^t f by adaptive quadrature, split where the (base) law has a kink or jump."""
+    law = getattr(law, "base", law)
+    cuts = ({loc for loc, _ in law.atoms()} | set(getattr(law, "ts", ()))
+            | {getattr(law, "lo", 0.0), getattr(law, "hi", 0.0)})
+    pts = sorted(c for c in cuts if 0.0 < c < t) or None
+    return integrate.quad(f, 0.0, t, points=pts, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniform(self, size=None):
+        return self.u.copy()
 
 
 def test_grid_helpers():
@@ -118,9 +140,9 @@ def test_gamma_lognormal_equal_scipy_stats_bitwise(d):
 
 
 def test_int_sf_at_infinity_is_the_mean():
-    # t * sf(t) tends to 0, not inf * 0; an equilibrium law sizes its
-    # quadrature cache from the finite times only, so a call at inf leaves
-    # every later finite value as it would have been
+    # t * sf(t) tends to 0, not inf * 0; an equilibrium law's int_sf is a
+    # closed form that keeps no state, so a call at inf leaves every later
+    # finite value as it would have been
     ts = np.linspace(0.0, 6.0, 61)
     for base in ALL_FAMILIES + [Gamma(2.0, 2.0), Uniform(1.0, 3.0)]:
         for make in (lambda: base, lambda: equilibrium_dist(base)):
@@ -135,6 +157,23 @@ def test_int_sf_at_infinity_is_the_mean():
     d.int_sf(np.inf)
     assert d.int_sf(1.0) == equilibrium_dist(Gamma(2.0, 2.0)).int_sf(1.0)
     assert abs(d.int_sf(1.0) - 0.58083) < 1e-5
+
+
+def test_limits_at_huge_t_without_warnings():
+    # at t = 1e300, Weibull's (t / scale)^shape overflows to inf, which gives
+    # every function its exact limit; no family may warn there
+    t = 1e300
+    for base in ALL_FAMILIES + [Weibull(2.0, 1.0), Gamma(0.5, 1.0), INTERIOR_ATOM]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert base.cdf(t) == 1.0 and base.sf(t) == 0.0 and base.int_sf(t) == base.mean()
+            assert 2.0 * base._int_t_sf(t) == base.second_moment(), base
+            e = equilibrium_dist(base)
+            assert e.cdf(t) == 1.0 and e.sf(t) == 0.0 and e.int_sf(t) == e.mean(), base
+    # this law's int_sf beyond its support is one rounding off its mean; the
+    # equilibrium law's t * (mean - int_sf) must still read 0 there
+    e = equilibrium_dist(Uniform(0.1, 0.7))
+    assert e.base.int_sf(t) != e.base.mean() and e.int_sf(t) == e.mean()
 
 
 def test_cdf_bounds_and_monotone():
@@ -160,6 +199,12 @@ def test_int_sf_frozen_quadrature():
     pe = PiecewiseEmpirical((0.0, 1.0, 1.0, 2.0), (0.0, 0.3, 0.7, 1.0))
     assert abs(pe.int_sf(1.5) - 0.9625) < 1e-14  # 0.85 + int_1^1.5 0.3(2-t) dt
     assert abs(pe.mean() - 1.0) < 1e-14
+    # int_0^t s sf(s) ds, the closed form behind second_moment, against a live quadrature
+    more = [Gamma(0.5, 1.0), Weibull(0.6, 2.0), LogNormal(1.3, 1.4), INTERIOR_ATOM]
+    for d in ALL_FAMILIES + more:
+        for t in (0.05, 0.4, 1.0, 1.7, 3.0, 8.0):
+            ref = _quad(lambda s: s * d.sf(s), t, d)
+            assert abs(d._int_t_sf(t) - ref) <= 1e-12 * ref, (d, t)
 
 
 def test_int_sf_matches_trapezoid():
@@ -206,6 +251,31 @@ def test_equilibrium_int_sf_and_guards():
         e.second_moment()
     with pytest.raises(ValueError):
         equilibrium_dist(Deterministic(0.0))
+    # int_sf is exact, and the same bits whatever was asked before
+    ts = np.array([0.05, 0.4, 1.0, 1.7, 3.0, 8.0])
+    for base in ALL_FAMILIES[2:] + [Gamma(0.5, 1.0), LogNormal(1.3, 1.4), INTERIOR_ATOM]:
+        e = equilibrium_dist(base)
+        first = e.int_sf(ts)
+        for t, got in zip(ts, first):
+            ref = _quad(e.sf, t, e)
+            assert abs(got - ref) <= 1e-12 * ref, (base, t)
+        for t in (100.0, np.inf, 1e-3):
+            e.int_sf(t)
+        again = e.int_sf(ts)
+        assert again.tobytes() == first.tobytes() == equilibrium_dist(base).int_sf(ts).tobytes()
+    # the sampler's extreme uniforms on bounded supports: finite draws inside
+    # the support, without warnings (a Newton step that rounding carries past
+    # the end of the support is taken back)
+    u = _FixedUniforms([0.0, 1.0 - 2.0**-53])
+    for base, end in [(Uniform(0.3, 1.1), 1.1), (Uniform(1.0, 3.0), 3.0),
+                      (ALL_FAMILIES[-1], 2.0), (INTERIOR_ATOM, 2.0),
+                      (PiecewiseEmpirical((0.0, 1.0, 1.0), (0.0, 0.6, 1.0)), 1.0),
+                      (PiecewiseEmpirical((1.2, 2.3), (0.0, 1.0)), 2.3),
+                      (PiecewiseEmpirical((0.1, 1.0), (0.3, 1.0)), 1.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = equilibrium_dist(base).sample(u, 2)
+        assert x[0] == 0.0 and np.isfinite(x[1]) and end - 1e-7 < x[1] <= end, (base, x)
 
 
 def test_record_round_trip():
@@ -230,7 +300,9 @@ def test_sampling_ks():
         Weibull(1.5, 1.0),
         equilibrium_dist(Gamma(2.0, 1.0)),
         equilibrium_dist(Weibull(1.5, 1.0)),
-    ]
+    ] + [equilibrium_dist(d) for d in ALL_FAMILIES + [Gamma(0.5, 1.0), INTERIOR_ATOM]]
+    # each KS p-value is uniform under the law, so each check false-alarms
+    # with probability 1e-3 and the 16 together with at most 1.6%
     for d in continuous:
         x = d.sample(rng, 4000)
         p = stats.kstest(x, d.cdf).pvalue

@@ -16,6 +16,7 @@ from epilim import (
     Uniform,
     Weibull,
     solve_fluid,
+    solve_markovian_ode,
     tabulate_kernels,
     uniform_grid,
 )
@@ -215,6 +216,10 @@ def test_cross_block_independence_and_validation():
     bare.spec = None
     with pytest.raises(ValueError, match="spec"):
         DriverCovariance(bare)
+    # the ODE solver keeps its rates in a dict, which is no model spec
+    ode = solve_markovian_ode("SEIR", 1.5, 1.0, 1.0, {"i0": 0.05}, grid)
+    with pytest.raises(ValueError, match="need the model spec"):
+        DriverCovariance(ode)
 
 
 def test_seir_with_instant_exposure_reduces_to_sir():
