@@ -162,7 +162,9 @@ class Exponential(DurationDist):
 
     def cdf(self, t):
         t = _asarr(t)
-        return -np.expm1(-self.rate * np.clip(t, 0.0, None))
+        # where -rate * t overflows to -inf, expm1 gives the exact limit -1
+        with np.errstate(over="ignore"):
+            return -np.expm1(-self.rate * np.clip(t, 0.0, None))
 
     def mean(self):
         return 1.0 / self.rate
@@ -222,17 +224,19 @@ class Uniform(DurationDist):
         self.hi = float(hi)
 
     def cdf(self, t):
-        t = _asarr(t)
-        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        # t clipped to the support first: (t - lo) / w cannot overflow
+        return (np.clip(_asarr(t), self.lo, self.hi) - self.lo) / (self.hi - self.lo)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
 
     def int_sf(self, t):
+        # mean - (hi - t)^2 / (2w) on [lo, inf), exactly the mean from hi on;
+        # below lo that exceeds t, so the minimum reads t there
         t = np.clip(_asarr(t), 0.0, None)
         w = self.hi - self.lo
-        inner = (w**2 - (self.hi - np.clip(t, self.lo, self.hi)) ** 2) / (2.0 * w)
-        return np.minimum(t, self.lo) + inner
+        tail = (self.hi - np.clip(t, self.lo, self.hi)) ** 2 / (2.0 * w)
+        return np.minimum(t, self.mean() - tail)
 
     def _int_t_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
@@ -255,9 +259,14 @@ class Gamma(DurationDist):
         self.shape = float(shape)
         self.rate = float(rate)
 
+    def _x(self, t):
+        # t / (1 / rate), not t * rate: the bits scipy.stats.gamma feeds these
+        # ufuncs; where it overflows to inf, each use reads its exact limit
+        with np.errstate(over="ignore"):
+            return t / (1.0 / self.rate)
+
     def cdf(self, t):
-        # t / (1 / rate), not t * rate: the bits scipy.stats.gamma feeds these ufuncs
-        return special.gammainc(self.shape, np.clip(_asarr(t), 0.0, None) / (1.0 / self.rate))
+        return special.gammainc(self.shape, self._x(np.clip(_asarr(t), 0.0, None)))
 
     def mean(self):
         return self.shape / self.rate
@@ -266,14 +275,14 @@ class Gamma(DurationDist):
         # int_0^t sf = t*sf(t) + int_0^t s f(s) ds, and the partial mean of a
         # Gamma(a, r) is (a/r) * CDF of Gamma(a+1, r).
         t = np.clip(_asarr(t), 0.0, None)
-        x = t / (1.0 / self.rate)
+        x = self._x(t)
         part = self.mean() * special.gammainc(self.shape + 1.0, x)
         return _t_sf(t, special.gammaincc(self.shape, x)) + part
 
     def _int_t_sf(self, t):
         # the partial second moment is a(a+1)/r^2 * CDF of Gamma(a+2, r)
         t = np.clip(_asarr(t), 0.0, None)
-        x = t / (1.0 / self.rate)
+        x = self._x(t)
         m2 = self.shape * (self.shape + 1.0) / self.rate**2
         return _half_sq(t, m2 * special.gammainc(self.shape + 2.0, x),
                         special.gammaincc(self.shape, x))
@@ -294,19 +303,22 @@ class LogNormal(DurationDist):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
+    def _z(self, t):
+        # log(t / exp(mu)) / sigma: the bits scipy.stats.lognorm feeds ndtr;
+        # t = 0 gives -inf and an overflow inf, each use's exact limit
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.log(t / math.exp(self.mu)) / self.sigma
+
     def cdf(self, t):
-        # log(t / exp(mu)) / sigma: the bits scipy.stats.lognorm feeds ndtr
-        with np.errstate(divide="ignore"):
-            return special.ndtr(np.log(np.clip(_asarr(t), 0.0, None) / math.exp(self.mu))
-                                / self.sigma)
+        return special.ndtr(self._z(np.clip(_asarr(t), 0.0, None)))
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
     def int_sf(self, t):
         t = np.clip(_asarr(t), 0.0, None)
+        sf = special.ndtr(-self._z(t))
         with np.errstate(divide="ignore"):
-            sf = special.ndtr(-np.log(t / math.exp(self.mu)) / self.sigma)
             z = (np.log(t) - self.mu - self.sigma**2) / self.sigma
         part = self.mean() * special.ndtr(np.where(t > 0, z, -np.inf))
         return _t_sf(t, sf) + part

@@ -17,12 +17,17 @@ to 1e-12.
 
 Convolutions of a fully known path (conv_full, and the kernel tabulation in
 distributions) use FFT, O(N log N). The stepper's history sums, whose rate
-is only known up to the current node, stay direct dot products, O(N^2).
+is only known up to the current node, are split over dyadic squares of the
+lower triangle (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985) 532-541): each square is one FFT once its sources are known, and only
+sources in the current block of _BLOCK nodes are summed directly at each
+step, O(N log^2 N) in all.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,28 +136,53 @@ def _cumtrapz(q, dt):
     return out
 
 
+_BLOCK = 256  # block of the near part: sources in the target's aligned block are summed directly
+
+
 class _StepKernel:
-    """Per-step convolution bookkeeping for one kernel against the rate path."""
+    """One term of the step loop: its kernel's weight on the current rate,
+    its continuous history folded into the forcing, and its atoms.
 
-    __slots__ = ("cont", "hist", "atoms", "lag0", "w", "dt")
+    The history sum dt * sum_{j<k} cont[k - j] p_j, with p the rate path
+    under trapezoid weights (p_0 = q_0 / 2), splits over the dyadic squares
+    of the lower triangle: the pair (j, k) lies in the square of the highest
+    bit where j and k differ. Squares of side s >= _BLOCK form the far part,
+    which add_square folds into g = forcing + far part as soon as their
+    sources are known; the pairs left, whose j lies in k's _BLOCK-aligned
+    block, form the near part, weighted by near over lags _BLOCK, ..., 1.
+    """
 
-    def __init__(self, ker: ConvKernel, dt: float):
-        self.cont = np.ascontiguousarray(ker.cont, dtype=float)
-        self.hist = bool(np.any(self.cont))  # atom-only kernels skip the dot
+    __slots__ = ("cont", "g", "near", "atoms", "lag0", "w", "dt", "spectra")
+
+    def __init__(self, forcing, ker: ConvKernel, dt: float):
+        n = len(forcing)
+        self.cont = np.asarray(ker.cont, dtype=float)
+        tail = dt * self.cont[1:_BLOCK + 1]
+        self.near = np.zeros(_BLOCK)
+        self.near[_BLOCK - len(tail):] = tail[::-1]
+        # only long grids have far squares; atom-only kernels have no history
+        far = n > _BLOCK and bool(np.any(self.cont))
+        self.g = np.array(forcing, dtype=float) if far else forcing
+        self.spectra = {} if far else None
         self.atoms = tuple((lag, j) for lag, j in ker.atoms if lag > 0)
         self.lag0 = sum(j for lag, j in ker.atoms if lag == 0)
         # implicit weight of q_k: half-cell of the lag-0 kernel value
         self.w = float(0.5 * dt * (self.cont[0] + self.lag0))
         self.dt = dt
 
-    def known(self, k, q, qr, qcum, kk):
-        """Contribution of q[0..k-1]; q[k]'s share is self.w * q[k]."""
+    def add_square(self, k, s, src):
+        """Add the square of sources [k - s, k) on targets [k, k + s) to g;
+        src is the rfft of p[k - s:k].T at length 2s."""
+        spec = self.spectra.get(s)
+        if spec is None:  # lags 1 .. 2s - 1
+            spec = self.spectra[s] = np.fft.rfft(self.dt * self.cont[1:2 * s], 2 * s)
+        out = np.fft.irfft(spec * src, 2 * s).T
+        target = self.g[k:k + s]
+        target += out[s - 1:s - 1 + len(target)]
+
+    def atom_sum(self, k, q, qcum):
+        """Contribution of the atoms from q[0..k-1]."""
         v = 0.0
-        if self.hist:
-            s = 0.5 * self.cont[k] * q[0]
-            if k > 1:
-                s += np.dot(self.cont[1:k], qr[kk - k + 1 : kk])
-            v = self.dt * s
         if self.lag0:
             v += self.lag0 * (qcum[k - 1] + 0.5 * self.dt * q[k - 1])
         for lag, j in self.atoms:
@@ -168,32 +198,54 @@ def _renewal(grid, terms, rate):
     (n,) for one path or (n, P) for a bundle. rate(k, bases, ws) returns q
     at node k given that X_i(t_k) = bases[i] + ws[i] * q(t_k). Returns
     (list of X_i, q, cumulative trapezoid of q), all with the forcings' shape.
+
+    The history sums cost O(N log^2 N): each far square is one FFT of twice
+    its side, and each step's near part is one product over all terms.
     """
     dt = grid_step(grid)
-    kk = len(grid) - 1
-    fs = [f for f, _ in terms]
-    kers = [_StepKernel(K, dt) for _, K in terms]
+    n = len(grid)
+    shape = terms[0][0].shape
+    kers = [_StepKernel(f, K, dt) for f, K in terms]
     ws = [ker.w for ker in kers]
-    shape = fs[0].shape
-    q = np.zeros(shape)
-    qr = np.zeros(shape)  # qr[kk - j] = q[j], kept for contiguous dots
-    qcum = np.zeros(shape)
-    xs = [np.empty(shape) for _ in terms]
+    far = [ker for ker in kers if ker.spectra is not None]
+    atomic = [(i, ker) for i, ker in enumerate(kers) if ker.lag0 or ker.atoms]
+    near = np.array([ker.near for ker in kers])
+    # one path steps in Python floats, stored as C doubles (a list of float
+    # objects would leave its allocator arenas behind), a bundle in rows
+    if len(shape) == 1:
+        rows, store = np.ndarray.tolist, lambda: array("d", bytes(8 * n))
+    else:
+        rows, store = list, lambda: np.zeros(shape)
+    p = np.zeros(shape)  # q with trapezoid weights, for the history sums
+    q, qcum = store(), store()
+    xs = [store() for _ in terms]
 
-    bases = [f[0] for f in fs]
+    block = [rows(ker.g[:_BLOCK]) for ker in kers]  # forcing + far part
+    bases = [b[0] for b in block]
+    q[0] = rate(0, bases, [0.0] * len(terms))
+    p[0] = 0.5 * q[0]
     for x, b in zip(xs, bases):
         x[0] = b
-    q[0] = rate(0, bases, [0.0] * len(terms))
-    qr[kk] = q[0]
-    for k in range(1, kk + 1):
-        bases = [f[k] + ker.known(k, q, qr, qcum, kk) for f, ker in zip(fs, kers)]
+    for k in range(1, n):
+        m = k % _BLOCK
+        if m:
+            nv = rows(near[:, _BLOCK - m:].dot(p[k - m:k]))
+            bases = [b[m] + v for b, v in zip(block, nv)]
+        else:  # a new block: its far part is complete once this square is in
+            s = k & -k
+            src = np.fft.rfft(p[k - s:k].T, 2 * s)
+            for ker in far:
+                ker.add_square(k, s, src)
+            block = [rows(ker.g[k:k + _BLOCK]) for ker in kers]
+            bases = [b[0] for b in block]
+        for i, ker in atomic:
+            bases[i] = bases[i] + ker.atom_sum(k, q, qcum)
         qk = rate(k, bases, ws)
-        q[k] = qk
-        qr[kk - k] = qk
+        q[k] = p[k] = qk
         qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
         for x, b, w in zip(xs, bases, ws):
             x[k] = b + w * qk
-    return xs, q, qcum
+    return [np.asarray(x) for x in xs], np.asarray(q), np.asarray(qcum)
 
 
 class _StepDiverged(Exception):
@@ -349,10 +401,10 @@ def _solve_fluid_on(spec, grid):
 
     max_it = 0
     q_prev = 0.0
+    iterations, isfinite = range(1, _MAX_ITER + 1), math.isfinite
 
     def rate(k, bases, ws):
         nonlocal max_it, q_prev
-        bases = [float(b) for b in bases]  # plain floats iterate faster
         ib, iw = bases[0], ws[0]
         sb, sw = s0, 0.0
         for c, b, w in zip(cs, bases, ws):
@@ -361,11 +413,23 @@ def _solve_fluid_on(spec, grid):
         lam_k = lam[k]
         if k == 0:
             q_prev = lam_k * sb * ib
+            return q_prev
+        # _fixed_point_scalar inlined, the step loop's hot spot: the same
+        # rule, delta <= _TOL * max(1, |q|), in two comparisons
+        qk = q_prev
+        for it in iterations:
+            qn = lam_k * (sb + sw * qk) * (ib + iw * qk)
+            if not isfinite(qn):
+                raise _StepDiverged(float("inf"))
+            delta = abs(qn - qk)
+            if delta <= _TOL or delta <= _TOL * abs(qn):
+                break
+            qk = qn
         else:
-            q_prev, it = _fixed_point_scalar(
-                lambda qk: lam_k * (sb + sw * qk) * (ib + iw * qk), q_prev)
-            max_it = max(max_it, it)
-        return q_prev
+            raise _StepDiverged(delta)
+        max_it = max(max_it, it)
+        q_prev = qn
+        return qn
 
     # Divergence is detected and handled, so silence transient overflows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -452,7 +516,7 @@ def solve_linear_volterra(forcings, kernels, coefs, weights, grid, residual_chec
             z = np.full(n, float(z))
         if z.shape != (n,):
             raise ValueError("coupling weights must be scalars or (n,) paths")
-        zs.append(z)
+        zs.append(z.tolist())
     kers = []  # c_i folded in: X_i = f_i + int (c_i K_i)(t-s) r(s) ds
     for K, c in zip(kernels, coefs):
         K, c = _as_conv_kernel(K, n), float(c)

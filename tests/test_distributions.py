@@ -160,20 +160,35 @@ def test_int_sf_at_infinity_is_the_mean():
 
 
 def test_limits_at_huge_t_without_warnings():
-    # at t = 1e300, Weibull's (t / scale)^shape overflows to inf, which gives
-    # every function its exact limit; no family may warn there
-    t = 1e300
-    for base in ALL_FAMILIES + [Weibull(2.0, 1.0), Gamma(0.5, 1.0), INTERIOR_ATOM]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert base.cdf(t) == 1.0 and base.sf(t) == 0.0 and base.int_sf(t) == base.mean()
-            assert 2.0 * base._int_t_sf(t) == base.second_moment(), base
-            e = equilibrium_dist(base)
-            assert e.cdf(t) == 1.0 and e.sf(t) == 0.0 and e.int_sf(t) == e.mean(), base
-    # this law's int_sf beyond its support is one rounding off its mean; the
-    # equilibrium law's t * (mean - int_sf) must still read 0 there
-    e = equilibrium_dist(Uniform(0.1, 0.7))
-    assert e.base.int_sf(t) != e.base.mean() and e.int_sf(t) == e.mean()
+    # at t = 1e300, Weibull's (t / scale)^shape overflows to inf, and at the
+    # largest float so do Gamma's t / (1 / rate), LogNormal's t / e^mu and
+    # Exponential's rate * t; inf gives every function its exact limit, and
+    # no family may warn there. For Uniform(0.1, 0.7), lo + w^2 / (2w) is one
+    # rounding off the mean, so int_sf must not be formed that way
+    laws = ALL_FAMILIES + [Weibull(2.0, 1.0), Gamma(0.5, 1.0), Gamma(2.0, 2.0), INTERIOR_ATOM,
+                           Uniform(0.1, 0.7)]
+    for t in (1e300, np.finfo(float).max):
+        for base in laws:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert base.cdf(t) == 1.0 and base.sf(t) == 0.0 and base.int_sf(t) == base.mean()
+                assert 2.0 * base._int_t_sf(t) == base.second_moment(), base
+                e = equilibrium_dist(base)
+                assert e.cdf(t) == 1.0 and e.sf(t) == 0.0 and e.int_sf(t) == e.mean(), base
+
+
+def test_uniform_int_sf_reaches_its_mean_exactly():
+    # int_sf = mean - (hi - t)^2 / (2w) on [lo, inf): from hi on it is the
+    # mean itself, not lo + w^2 / (2w), which misses it by one rounding for
+    # about one law in seven, Uniform(0.1, 0.7) among them
+    rng = np.random.default_rng(12)
+    for i in range(1000):
+        lo, hi = np.sort(rng.uniform(0.0, 5.0, 2))
+        d = Uniform(lo, hi)
+        m = d.mean()
+        assert d.int_sf(hi) == m and d.int_sf(np.inf) == m and d.int_sf(2.0 * hi + 1.0) == m, d
+        for t in rng.uniform(lo, hi, 2):
+            assert abs(d.int_sf(t) - _quad(d.sf, t, d)) <= 1e-14, (d, t)
 
 
 def test_cdf_bounds_and_monotone():

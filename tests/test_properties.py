@@ -1,10 +1,13 @@
 """Property tests over random kernels, rate paths, period laws and models.
 
 The FFT convolutions of fully known paths are checked against direct sums:
-conv_full against the product-trapezoid sum written out, and the kernel
-tabulation against the same tabulation with np.convolve in place of the FFT.
-Over random models, the fluid conserves mass with monotone cumulatives and
-the fluctuation limit's compartments sum to zero; the simulator's event log
+conv_full against the product-trapezoid sum written out, the kernel
+tabulation against the same tabulation with np.convolve in place of the FFT,
+and the step loop's blocked history sums against a step loop whose history
+sums are direct dots. Over random models, the fluid conserves mass with
+monotone cumulatives and the fluctuation limit's compartments sum to zero;
+the driver covariance is symmetric and positive semidefinite to rounding,
+and sampled drivers keep their additive identities; the simulator's event log
 replays to its path at every node, gives each infection a new id in epoch
 order and each agent its pool's transitions in order, and the integrated
 infection intensity read from that log starts at 0 and never decreases.
@@ -16,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilim import ModelSpec, TabulatedRate, distributions
+from epilim import ModelSpec, TabulatedRate, distributions, fluid
 from epilim.agent_sim import (
     _STAGES,
     BECOME_INFECTIOUS,
@@ -36,8 +39,8 @@ from epilim.distributions import (
     tabulate_kernels,
     uniform_grid,
 )
-from epilim.fclt import DriverCovariance, sample_drivers, solve_fclt_path
-from epilim.fluid import ConvKernel, conv_full, solve_fluid
+from epilim.fclt import DRIVER_IDS, DriverCovariance, sample_drivers, solve_fclt_path
+from epilim.fluid import ConvKernel, conv_full, solve_fluid, solve_linear_volterra
 
 # deterministic and fast: the suite's wall-clock budget covers these too
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -228,3 +231,120 @@ def test_replay_matches_path_and_intensity_is_monotone(case, n, seed):
     lam_bar = integrated_intensity(log, spec, ts)
     assert lam_bar[0] == 0.0
     assert np.all(np.diff(lam_bar) >= 0.0)
+
+
+def _direct_renewal(grid, terms, rate):
+    """fluid._renewal with each step's history sum a direct dot over every
+    earlier node, O(N^2): the reference for the blocked sums."""
+    dt = grid[1] - grid[0]
+    shape = terms[0][0].shape
+    q, qcum = np.zeros(shape), np.zeros(shape)
+    xs = [np.empty(shape) for _ in terms]
+    ws = [0.5 * dt * (K.cont[0] + sum(j for lag, j in K.atoms if lag == 0)) for _, K in terms]
+    for k in range(len(grid)):
+        bases = []
+        for f, K in terms:
+            b = f[k] + dt * (K.cont[k:0:-1] @ q[:k] - 0.5 * K.cont[k] * q[0]) if k else f[0]
+            for lag, j in K.atoms:
+                if lag == 0 and k:
+                    b = b + j * (qcum[k - 1] + 0.5 * dt * q[k - 1])
+                elif 0 < lag <= k:
+                    b = b + j * qcum[k - lag]
+            bases.append(b)
+        wk = ws if k else [0.0] * len(terms)  # X(0) = f(0)
+        q[k] = rate(k, bases, wk)
+        if k:
+            qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + q[k])
+        for x, b, w in zip(xs, bases, wk):
+            x[k] = b + w * q[k]
+    return xs, q, qcum
+
+
+@st.composite
+def _volterra_systems(draw):
+    # node counts around the near block and its first far squares
+    b = fluid._BLOCK
+    n = draw(st.sampled_from([b - 1, b, b + 1, 2 * b + 1, 4 * b + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dt = draw(st.sampled_from([1e-3, 2e-3]))
+    paths = draw(st.sampled_from([(), (1,), (3,)]))
+    forcings, kernels, coefs, weights = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        forcings.append(rng.standard_normal(paths + (n,)) * draw(st.sampled_from([1e-3, 1.0])))
+        cont = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0, 3.0]))
+        lags = draw(st.lists(st.integers(1, n + 2), max_size=3))
+        if draw(st.booleans()):
+            lags = [0] + lags
+        kernels.append(ConvKernel(cont=cont, atoms=tuple(
+            (lag, float(rng.uniform(-1.0, 1.0))) for lag in lags)))
+        coefs.append(draw(st.floats(-1.0, 1.0)))
+        weights.append(rng.uniform(-1.0, 1.0, n) if draw(st.booleans())
+                       else draw(st.floats(-1.0, 1.0)))
+    return forcings, kernels, coefs, weights, uniform_grid((n - 1) * dt, dt)
+
+
+@_SETTINGS
+@given(_volterra_systems())
+def test_blocked_history_matches_direct_sums(case):
+    xs, r = solve_linear_volterra(*case)
+    with mock.patch.object(fluid, "_renewal", _direct_renewal):
+        ref_xs, ref_r = solve_linear_volterra(*case)
+    for got, ref in zip(xs + [r], ref_xs + [ref_r]):
+        assert got.shape == ref.shape == case[0][0].shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_blocked_fluid_matches_direct_sums():
+    # SIRS above 4 blocks: both kernels carry far squares of several sizes
+    spec = ModelSpec(kind="SIRS", lam=1.5, i0=0.01, r0=0.05,
+                     h=JointDurationDist(g=Gamma(3.0, 3.0), f=Uniform(1.0, 3.0)))
+    grid = uniform_grid(30.0, 0.02)
+    assert len(grid) > 4 * fluid._BLOCK
+    got = solve_fluid(spec, grid)
+    with mock.patch.object(fluid, "_renewal", _direct_renewal):
+        ref = solve_fluid(spec, grid)
+    for name in "SEIRAL":
+        assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) <= 1e-12, name
+    assert got.diagnostics["max_iterations"] == ref.diagnostics["max_iterations"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(_models(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_driver_covariance_is_symmetric_psd(case, fracs):
+    spec, grid = case
+    cov = DriverCovariance(solve_fluid(spec, grid))
+    nodes = sorted({round(u * (len(grid) - 1)) for u in fracs})
+    mat = cov.matrix([(d, grid[k]) for d in DRIVER_IDS[spec.kind] for k in nodes])
+    np.testing.assert_array_equal(mat, mat.T)
+    assert np.linalg.eigvalsh(mat)[0] >= -1e-12 * np.max(np.diag(mat))
+
+
+# signed driver sums that vanish: each driver is one sum of its block's base
+# paths, so a pair that negates is exact and a longer identity is exact up
+# to the rounding of those sums
+_IDENTITIES = {
+    "SIS": (("MA", "-I1", "-R1"), ("I0", "R0")),
+    "SIR": (("MA", "-I1", "-R1"), ("I0", "R0")),
+    "SEIR": (("MA", "-E1", "-L1"), ("L1", "-I1", "-R1"), ("E0", "L0"),
+             ("E0", "I02", "R02"), ("I01", "R01")),
+    "SIRS": (),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(_models(), st.integers(0, 2**32 - 1))
+def test_sampled_driver_identities(case, seed):
+    spec, grid = case
+    dr = sample_drivers(DriverCovariance(solve_fluid(spec, grid)), grid,
+                        np.random.default_rng(seed), paths=4)
+    for ids in _IDENTITIES[spec.kind]:
+        terms = [-dr[d[1:]] if d[0] == "-" else dr[d] for d in ids]
+        total = sum(terms)
+        if len(ids) == 2:
+            assert np.all(total == 0.0), ids
+        else:
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(total) <= 4 * eps * sum(np.abs(t) for t in terms)), ids
+    for d in ("MA", "I1", "R1", "E1", "L1"):  # nobody is infected before t = 0
+        if d in dr:
+            assert np.all(dr[d][:, 0] == 0.0), d
