@@ -1,11 +1,14 @@
 """Exact event-driven simulation of the stochastic SIS/SIR/SIRS/SEIR models.
 
 Infections arrive as a Poisson process with rate lambda(t) * S * I / n; each
-newly infected agent draws its period durations up front and its later
-transitions are scheduled in a priority queue. Between events the intensity
-is constant, so the next infection candidate is an exponential draw; a
-time-tabulated rate is handled by thinning against its maximum. No time
-discretization anywhere.
+newly infected agent draws its period durations up front, and its later
+transitions are scheduled as bare times in one heap per transition code.
+Between events the intensity is constant, so the next infection candidate is
+an exponential draw; a time-tabulated rate is handled by thinning against
+its maximum. No time discretization anywhere. A scheduled event wins a tie
+with a candidate, and tied scheduled events go in code order: that leaves
+the counts after the tie as they are, but a candidate is drawn before each
+of them while S * I > 0, so the order can change the draws that follow.
 
 The loop keeps the paper's epoch representation: it tracks only S and I,
 which set the infection rate, and the infection epochs. Each count is a sum
@@ -29,7 +32,6 @@ import heapq
 import itertools
 import math
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,9 +230,10 @@ class ModelSpec:
 
 @dataclass
 class EventLog:
-    """All transitions of one run up to the last grid node, in processing
-    order: by time, agent id and code. Initial agents have the ids 0..k-1 in
-    pool order; each later infection has a new id in epoch order, never reused."""
+    """All transitions of one run up to the last grid node, by time, agent id
+    and code: the processing order, but for tied scheduled events, which go
+    in code order. Initial agents have the ids 0..k-1 in pool order; each
+    later infection has a new id in epoch order, never reused."""
 
     times: np.ndarray
     agents: np.ndarray
@@ -327,30 +330,30 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
     if k0 > n:
         raise ValueError("initial counts exceed n after rounding")
 
-    # schedule the initial agents' transitions, pool by pool in id order;
-    # a (code, times, first id) segment holds one transition of consecutive
+    # schedule the initial agents' transitions: one heap of bare times per
+    # code, in code order; the new infections pass through every code. A
+    # (code, times, first id) segment holds one transition of consecutive
     # ids, for the counts after the loop
     *initial, (_, new_law, new_codes) = _STAGES[kind]
+    INF = math.inf
+    heaps = {code: [INF] for code in new_codes}  # inf is past every horizon: never popped
     segments = []
-    heap: list = []
     first = 0
     for pool, law, codes in initial:
         k = counts[pool]
         if k:
             ends = np.cumsum(_periods(getattr(spec, law), rng, k, len(codes)), axis=0)
-            ids = range(first, first + k)
             for code, row in zip(codes, ends):
-                heap.extend(zip(row.tolist(), ids, [code] * k))
+                heaps[code] += row.tolist()
                 segments.append((code, row, first))
         first += k
-    # entries (t, id, code) are distinct, so the pop order does not depend
-    # on how the heap was built
-    heapq.heapify(heap)
+    ha, hb = (*heaps.values(), [INF])[:2]  # a one-code kind: a constant second head
+    heapq.heapify(ha)
+    heapq.heapify(hb)
     push, pop = heapq.heappush, heapq.heappop
+    stages = len(new_codes)
 
     new_law = getattr(spec, new_law)
-    stages = len(new_codes)
-    first_code, second_code = (new_codes + (None,))[:2]
     blocks = []  # the new infections' periods, kept as drawn
 
     def new_block(k):
@@ -369,36 +372,35 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
 
     deltas = _delta_table(kind)
     step = deltas[:, [0, 2]].tolist()  # (dS, dI) of each code
+    (dsa, dia), (dsb, dib), (dsi, dii) = step[new_codes[0]], step[new_codes[-1]], step[INFECT]
     S, I = n - k0, i0n
     taus = array("d")  # the infection epochs; epoch j belongs to id k0 + j
     tau = taus.append
-    aid = k0 - 1
-    INF = math.inf
     t = 0.0
 
     while True:
-        t_sched = heap[0][0] if heap else INF
+        a, b = ha[0], hb[0]
         si = S * I
         t_cand = t + edraw() * n / (lam_max * si) if si and lam_max else INF
-        if t_sched <= t_cand:  # ties go to the scheduled event
+        # ties go to the scheduled event, and between codes to the lower one
+        t_sched, h, ds, di = (a, ha, dsa, dia) if a <= b else (b, hb, dsb, dib)
+        if t_sched <= t_cand:
             if t_sched > t_end:
                 break
-            t, _, code = pop(heap)
+            t = pop(h)
         else:
             if t_cand > t_end:
                 break
             t = t_cand
             if lam_const is None and udraw() * lam_max > lam_at(t):
                 continue  # thinned candidate, state unchanged
-            aid += 1
             tau(t)
             d = new_draw()
             tx = t + d[0]
-            push(heap, (tx, aid, first_code))
-            if second_code is not None:
-                push(heap, (tx + d[1], aid, second_code))
-            code = INFECT
-        ds, di = step[code]
+            push(ha, tx)
+            if stages == 2:
+                push(hb, tx + d[1])
+            ds, di = dsi, dii
         S += ds
         I += di
 
@@ -420,7 +422,7 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
         return path, None
 
     # ids rise with epochs and a scheduled event wins a tie with an infection,
-    # so ordering by (time, id, code) is the loop's processing order
+    # so (time, id, code) is the loop's order, but for tied scheduled events
     times = np.concatenate([ts for _, ts, _ in segments])
     agents = np.concatenate([np.arange(a, a + len(ts), dtype=np.int64) for _, ts, a in segments])
     codes = np.concatenate([np.full(len(ts), c, dtype=np.int8) for c, ts, _ in segments])
@@ -474,6 +476,7 @@ def simulate_ensemble(
         )
     rep = functools.partial(_ensemble_rep, spec, n, horizon, grid_dt, master_seed, keep_logs)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
         with ProcessPoolExecutor(max_workers=workers) as ex:
             out = list(ex.map(rep, range(reps), chunksize=max(1, reps // (8 * workers))))
     else:
@@ -498,9 +501,13 @@ def integrated_intensity(log: EventLog, spec: ModelSpec, times) -> np.ndarray:
     Returns int_0^t lambda(s) (S(s)/n) (I(s)/n) ds at the requested times;
     the expected infection count over [0, t] is n times this.
     """
+    return _intensity_from_counts(log, spec, times, *_replay(log))
+
+
+def _intensity_from_counts(log, spec, times, S, I):
+    """``integrated_intensity``, given the counts ``_replay(log)``."""
     times = np.asarray(times, dtype=float)
     n = log.n
-    S, I = _replay(log)
     s_frac, i_frac = S / n, I / n
     starts = np.concatenate(([0.0], log.times))
     whole = spec.lam_integral(starts[:-1], log.times) * s_frac[:-1] * i_frac[:-1]

@@ -304,13 +304,17 @@ _CSV_BLOCK_ROWS = 1000
 def _write_csv(path, header, columns):
     """Integers as str(int), floats as repr(float): the shortest string that
     reads back to the same double. Rows are formatted in blocks, so that
-    only one block of Python objects is alive at a time."""
+    only one block of Python objects is alive at a time; in a block, bitwise
+    equal columns share their strings, and a constant one is formatted once."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [c[lo : lo + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*block)))
+            block = [c[lo : lo + _CSV_BLOCK_ROWS] for c in columns]
+            keys = [(c.dtype.str, c.tobytes()) for c in block]  # -0.0 is not 0.0 here
+            cells = {k: [repr(c[0].item())] * len(c) if k[1] == k[1][:c.itemsize] * len(c)
+                     else list(map(repr, c.tolist())) for k, c in dict(zip(keys, block)).items()}
+            fh.write("".join(",".join(row) + "\n" for row in zip(*map(cells.get, keys))))
 
 
 def _jsonable(o):

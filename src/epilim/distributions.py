@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.fft import next_fast_len
 
 __all__ = [
     "DurationDist",
@@ -664,6 +663,17 @@ def _merge_atoms(pairs):
     return tuple(sorted((loc, j) for loc, j in acc.items() if abs(j) > 1e-15))
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
+        p5 *= 5
+    return best
+
+
 def _conv_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """First m entries of the full linear convolution of a and b along the
     last axis, by FFT in O(N log N). The leading axes of a and b broadcast,
@@ -673,7 +683,7 @@ def _conv_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     sum of nonnegative terms is accurate entry by entry.
     """
     a, b = a[..., :m], b[..., :m]  # later entries reach no output below m
-    size = next_fast_len(a.shape[-1] + b.shape[-1] - 1, real=True)
+    size = _next_fast_len(a.shape[-1] + b.shape[-1] - 1)
     fb, fa = np.fft.rfft(b, size), np.fft.rfft(a, size)
     # b's spectrum stays the first factor, and the product goes into the
     # batched spectrum: one buffer fewer at the peak

@@ -22,8 +22,8 @@ from .agent_sim import (
     CompartmentPath,
     EventLog,
     ModelSpec,
+    _intensity_from_counts,
     _replay,
-    integrated_intensity,
     simulate_ensemble,
 )
 from .distributions import uniform_grid
@@ -241,7 +241,7 @@ def reconstruct_drivers(log: EventLog, spec: ModelSpec, times) -> dict:
     exit_code = _STAGES[log.kind][-1][2][-1]
     exits = log.times[(log.codes == exit_code) & ~first]
 
-    comp_ma = integrated_intensity(log, spec, times)
+    comp_ma = _intensity_from_counts(log, spec, times, S, I)
     a_cnt = np.searchsorted(taus, times, side="right")
     ma = (a_cnt - n * comp_ma) / root
 

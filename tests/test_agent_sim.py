@@ -415,6 +415,17 @@ _TIED_SEIR = ModelSpec(
     f0=Deterministic(1.0),
 )
 
+# Deterministic periods of 1 throughout: at t = 1 the initially infectious
+# recover as the initially exposed turn infectious, and no later infection
+# is infectious yet. In code order I rises before it falls; in agent id
+# order it passes through 0, where no infection candidate is drawn.
+_ZERO_TIE_SEIR = ModelSpec(
+    kind="SEIR", lam=1.0, i0=0.01, e0=0.01,
+    h=JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.0)),
+    h0=JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.0)),
+    f0=Deterministic(1.0),
+)
+
 # name: (spec, n, horizon, grid_dt, seed)
 _PINNED_RUNS = {
     "sis_deterministic": (ModelSpec(kind="SIS", lam=2.0, i0=0.1, f=Deterministic(1.0)),
@@ -427,10 +438,13 @@ _PINNED_RUNS = {
     "sirs_no_immune": (ModelSpec(kind="SIRS", lam=1.8, i0=0.05,
                                  h=JointDurationDist(g=Exponential(1.0), f=Deterministic(2.0))),
                        800, 10.0, 0.05, 36),
+    "seir_tie_through_zero": (_ZERO_TIE_SEIR, 1000, 6.0, 0.05, 37),
 }
 
-# sha256 of each run's path and event log, recorded before the event loop
-# moved from one heap of (time, id, code) entries to one heap per code
+# sha256 of each run's path and event log. All but the last were recorded
+# with the earlier event loop, one heap of (time, id, code) entries, and the
+# loop with one heap per code gives the same. The last is where the two
+# loops differ; it was recorded with the heap per code.
 _PINNED_DIGESTS = {
     "lam_zero": "4c287441afe3b1f93f90e0d1fb1c848b0e781269be315d0790452145be7e4f31",
     "seir_deterministic_ties": "93bc3863c90d3869a5d0034ba0d3bfc5afd5f781a3f97c509f35b03116dec86b",
@@ -439,6 +453,7 @@ _PINNED_DIGESTS = {
     "sirs_atoms": "ccba52fbb43d3d315261204692a9637f131c18c2b06c0282306f7959c6d5579a",
     "sirs_no_immune": "2759950b1c9ce8fd377a08e94737f6fb8de6568d2514100f82b60950128c39a9",
     "sis_deterministic": "9605c71024068c00e0eeae4ea4981413040fb4f7025884ad6b244c9b23bc1b7c",
+    "seir_tie_through_zero": "3fbceb1c35a24e0308200050a22d8beae8dfb95bcfac7a9f09d008a18b50b2d2",
 }
 
 

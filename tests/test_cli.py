@@ -165,6 +165,23 @@ def test_csv_bytes_match_row_writer(tmp_path):
     assert got == (tmp_path / "rows.csv").read_bytes()
     assert got.count(b"\n") == n + 1 and b",-0.0," in got and b",nan," in got
 
+    # repeated and constant columns are formatted once per block, but only
+    # bitwise copies share strings: not -0.0 and 0.0, nor 0 and 0.0
+    near = floats.copy()
+    near[0] = 0.0  # floats[0] is -0.0
+    mixed = np.zeros(n)
+    mixed[2100:] = -0.0  # constant in two blocks, not in the last
+    stacked = np.column_stack([floats, counts])  # strided column views
+    columns = (np.linspace(0.0, 25.0, n), floats, floats.copy(), stacked[:, 0], near,
+               np.zeros(n), np.full(n, -0.0), mixed, np.zeros(n, dtype=np.int64),
+               np.zeros(n, dtype=np.float32), np.full(n, np.nan), counts, stacked[:, 1])
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    cli._write_csv(str(tmp_path / "blocks2.csv"), header, columns)
+    _write_csv_by_rows(str(tmp_path / "rows2.csv"), header, columns)
+    got = (tmp_path / "blocks2.csv").read_bytes()
+    assert got == (tmp_path / "rows2.csv").read_bytes()
+    assert b",0.0,-0.0,0.0,0,0.0,nan," in got and b",0.0,-0.0,-0.0,0,0.0,nan," in got
+
 
 def test_output_directory_guard_and_env_override(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
@@ -310,3 +327,15 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_fft_and_process_pool_unloaded():
+    # the FFT length search is local, and only a multi-worker ensemble
+    # imports the process pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, epilim, epilim.cli; "
+            "print([m in sys.modules for m in ('scipy.fft', 'concurrent.futures.process')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[False, False]"

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import fft, integrate, special, stats
 
 from epilim.distributions import (
     Deterministic,
@@ -16,6 +16,7 @@ from epilim.distributions import (
     PiecewiseEmpirical,
     Uniform,
     Weibull,
+    _next_fast_len,
     dist_from_record,
     dist_to_record,
     equilibrium_dist,
@@ -504,3 +505,9 @@ def test_kernels_warn_on_coarse_grid():
     h = JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.05))
     with pytest.warns(UserWarning):
         tabulate_kernels(h, h, uniform_grid(3.0, 0.1))
+
+
+def test_next_fast_len_matches_scipy():
+    # the local 5-smooth search gives scipy's real-FFT length
+    for n in range(1, 100_001):
+        assert _next_fast_len(n) == fft.next_fast_len(n, real=True), n

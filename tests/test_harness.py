@@ -4,6 +4,7 @@ driver reconstruction."""
 import numpy as np
 import pytest
 
+from epilim import agent_sim, harness
 from epilim import (
     CompartmentPath,
     DriverCovariance,
@@ -19,6 +20,7 @@ from epilim import (
     empirical_cov,
     fit_rate,
     fluid_scale,
+    integrated_intensity,
     reconstruct_drivers,
     simulate,
     simulate_ensemble,
@@ -244,6 +246,28 @@ def test_reconstructed_drivers_identity_on_simulated_run():
     assert dr["MA"][0] == 0.0 and dr["I1"][0] == 0.0
     # the martingale splits into the two duration-window pieces
     assert np.max(np.abs(dr["MA"] - dr["I1"] - dr["R1"])) < 1e-9
+
+
+def test_reconstruct_drivers_replays_the_log_once(monkeypatch):
+    # the counts serve the martingale's compensator too; MA is unchanged,
+    # bit for bit, from the one that integrated_intensity gives
+    spec = _sir_spec(f=LogNormal(-0.3, 0.4))
+    _, log = simulate(spec, 1000, 2.0, 0.05, np.random.default_rng(22))
+    times = np.array([0.3, 1.0, 2.0])
+    calls, replay = [], agent_sim._replay
+
+    def counted(lg):
+        calls.append(lg)
+        return replay(lg)
+
+    monkeypatch.setattr(harness, "_replay", counted)
+    monkeypatch.setattr(agent_sim, "_replay", counted)
+    dr = reconstruct_drivers(log, spec, times)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    a_cnt = np.searchsorted(log.times[log.codes == 0], times, side="right")
+    ma = (a_cnt - log.n * integrated_intensity(log, spec, times)) / np.sqrt(log.n)
+    assert dr["MA"].tobytes() == ma.tobytes()
 
 
 def test_reconstructed_driver_variances_match_analytic():
