@@ -5,10 +5,9 @@ newly infected agent draws its period durations up front, and its later
 transitions are scheduled as bare times in one heap per transition code.
 Between events the intensity is constant, so the next infection candidate is
 an exponential draw; a time-tabulated rate is handled by thinning against
-its maximum. No time discretization anywhere. A scheduled event wins a tie
-with a candidate, and tied scheduled events go in code order: that leaves
-the counts after the tie as they are, but a candidate is drawn before each
-of them while S * I > 0, so the order can change the draws that follow.
+its maximum. No time discretization anywhere. Scheduled events win ties with
+a candidate and go in code order among themselves; a candidate is drawn
+before each of them while S * I > 0, so that order can change later draws.
 
 The loop keeps the paper's epoch representation: it tracks only S and I,
 which set the infection rate, and the infection epochs. Each count is a sum
@@ -231,9 +230,8 @@ class ModelSpec:
 @dataclass
 class EventLog:
     """All transitions of one run up to the last grid node, by time, agent id
-    and code: the processing order, but for tied scheduled events, which go
-    in code order. Initial agents have the ids 0..k-1 in pool order; each
-    later infection has a new id in epoch order, never reused."""
+    and code (the loop takes tied scheduled events in code order). Initial
+    agents have the ids 0..k-1 in pool order, later infections new ids in epoch order."""
 
     times: np.ndarray
     agents: np.ndarray

@@ -311,10 +311,13 @@ def _write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [c[lo : lo + _CSV_BLOCK_ROWS] for c in columns]
-            keys = [(c.dtype.str, c.tobytes()) for c in block]  # -0.0 is not 0.0 here
-            cells = {k: [repr(c[0].item())] * len(c) if k[1] == k[1][:c.itemsize] * len(c)
-                     else list(map(repr, c.tolist())) for k, c in dict(zip(keys, block)).items()}
-            fh.write("".join(",".join(row) + "\n" for row in zip(*map(cells.get, keys))))
+            bits = [c.view(f"u{c.itemsize}") for c in block]  # -0.0 is not 0.0 here
+            cells = []
+            for j, (c, b) in enumerate(zip(block, bits)):
+                same = [i for i in range(j) if block[i].dtype == c.dtype and (bits[i] == b).all()]
+                cells.append(cells[same[0]] if same else [repr(c[0].item())] * len(c)
+                             if (b == b[0]).all() else list(map(repr, c.tolist())))
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def _jsonable(o):

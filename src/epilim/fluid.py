@@ -569,9 +569,8 @@ def solve_markovian_ode(kind, lam, gamma, mu, init, grid) -> FluidSolution:
 
     lam, gamma, mu = float(lam), float(gamma), float(mu)
 
-    # Python floats, in the same operation order as the array form: the
-    # same IEEE results at a fraction of the per-step cost. The infection
-    # flux comes last, for the cumulative count A.
+    # Python floats, in the array form's operation order: the same IEEE
+    # results at a fraction of the per-step cost. Last comes the flux into A.
     def vf(s, e, i, r):
         inf = lam * s * i
         if kind == "SIS":
