@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpstrf
 
 from .agent_sim import ModelSpec
@@ -69,6 +70,12 @@ DRIVER_IDS = {kind: tuple(law) for kind, law in _LAW.items()}
 # PSD block, far below anything a sample can resolve.
 _PSD_RTOL = 1e-8
 
+# Doubles per slab when _chol_psd undoes its pivoting, and the side of the
+# tiles it transposes: each gathered or swapped copy stays small next to the
+# block it rearranges.
+_SLAB_DOUBLES = 1 << 15
+_TILE = 128
+
 
 @dataclass
 class FcltPath:
@@ -92,13 +99,15 @@ class DriverCovariance:
     independent block (the table ``_LAW``). The W block's covariance is the
     infection intensity q(s) ds integrated against the joint law of one
     individual's stage epochs; an initial pool's covariance comes from its
-    members' residual-stage indicators. Each block's base covariance is
-    built on first use, up to the latest node asked for, and cached. Over m
-    nodes it holds (width * m)**2 doubles and takes O(m**2 log m) time to
-    build: the two-stage tables are batched FFT convolutions. ``cov`` and
-    ``matrix`` read it through the coefficient table, and ``sample_drivers``
-    draws from a factor of it over every node, so the sampled law is this
-    law. Cross-block covariances are exactly zero.
+    members' residual-stage indicators. Over m nodes a block holds
+    (width * m)**2 doubles and takes O(m**2 log m) time to build: the
+    two-stage tables are batched FFT convolutions. It is built bitwise
+    symmetric. ``cov`` and ``matrix`` read each block through the
+    coefficient table, from a cache that holds it up to the latest node
+    asked for. ``sample_drivers`` builds each block afresh over every node
+    with the same code, so the sampled law is this law, and factors it in
+    the memory it was built in, without caching it. Cross-block covariances
+    are exactly zero.
     """
 
     def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
@@ -139,9 +148,12 @@ class DriverCovariance:
         hit = self._blocks.get(block)
         if hit is None or hit.shape[1] <= last:
             size = min(self.n, max(last + 1, 2 * (1 if hit is None else hit.shape[1])))
-            hit = self._w_block(size) if block == "W" else self._pool_block(block, size)
-            self._blocks[block] = hit
+            hit = self._blocks[block] = self._build(block, size)
         return hit
+
+    def _build(self, block: str, n: int) -> np.ndarray:
+        """A new array of the block's base covariance on the first n nodes."""
+        return self._w_block(n) if block == "W" else self._pool_block(block, n)
 
     def cov(self, x: str, t, y: str, tp) -> float:
         (bx, cx), (by, cy) = self._law(x), self._law(y)
@@ -175,36 +187,47 @@ class DriverCovariance:
         l >= l' that probability is P(l stages by t_i - s).
         """
         dt, q = self.dt, self.qpath[:n]
-        k = np.arange(n)
-        lag = k[None, :] - k[:, None]
-        ahead = lag >= 0  # [i, j]: t_i <= t_j
-        lag[~ahead] = 0
-
-        def integrate(kernel):
-            # [i, j] = int_0^{t_i} q(s) kernel(t_j - s) ds for t_i <= t_j
-            m = np.where(ahead, q[:, None] * kernel[lag], 0.0)
-            return dt * (np.cumsum(m, axis=0) - 0.5 * m[0] - 0.5 * m)
-
+        t = np.arange(n) * dt
         if self.kind in ("SIS", "SIR"):
-            kernels = [np.ones(n), np.asarray(self.spec.f.cdf(k * dt), dtype=float)]
+            kernels = [np.asarray(self.spec.f.cdf(t), dtype=float)]
         else:
             # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi
             rows = _conv_cdf_values(self.spec.h, self.grid[:n], n)
-            kernels = [np.ones(n), np.asarray(self.spec.h.g.cdf(k * dt), dtype=float), rows[0]]
+            kernels = [np.asarray(self.spec.h.g.cdf(t), dtype=float), rows[0].copy()]
             # [d, i] = int_0^{t_i} q(s) rows[d](t_i - s) ds, product trapezoid
             conv = dt * (_conv_head(rows, q, n) - 0.5 * q[0] * rows - 0.5 * rows[:, :1] * q)
             conv[:, 0] = 0.0  # an integral over an empty interval
-            pair = conv[lag, k[:, None]]  # [i, j] = conv[j - i, i]
-        tables = [integrate(kernel) for kernel in kernels]
-        diag = [np.diagonal(table) for table in tables]
-        m = len(kernels)
+            del rows
+        m = 1 + len(kernels)
         out = np.empty((m, n, m, n))
+        # Level 0 (MA) counts every infection, so its integral over s <= t_i
+        # does not depend on t_j; diag[l][i] is level l's table at [i, i].
+        diag = [dt * (np.cumsum(q) - 0.5 * q[0] - 0.5 * q)]
+        for y, kernel in enumerate(kernels, 1):
+            # [i, j] = int_0^{t_i} q(s) kernel(t_j - s) ds for t_i <= t_j,
+            # written into its block; the product is the only other table.
+            # lagged[i, j] = kernel[j - i], 0 below: a view, not a gather.
+            table = out[0, :, y]
+            lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), kernel]), n)[::-1]
+            prod = q[:, None] * lagged
+            np.cumsum(prod, axis=0, out=table)
+            table -= 0.5 * prod[0]
+            prod *= 0.5
+            table -= prod
+            table *= dt
+            del prod
+            diag.append(np.diagonal(table).copy())
+        below = np.tri(n, k=-1, dtype=bool)  # [i, j]: t_i > t_j
         for x in range(m):
             for y in range(x, m):
-                upper = tables[y] if x == 0 else pair if x < y else diag[x][:, None]
-                blk = np.where(ahead, upper, diag[y][None, :])
-                out[x, :, y, :] = blk
-                out[y, :, x, :] = blk.T
+                blk = out[x, :, y]
+                if x == y:
+                    blk[:] = diag[x][:, None]
+                elif x:
+                    _by_lag(blk, conv)
+                np.copyto(blk, diag[y][None, :], where=below)
+                if x < y:
+                    out[y, :, x] = blk.T
         return out
 
     def _pool_block(self, block: str, n: int) -> np.ndarray:
@@ -218,56 +241,104 @@ class DriverCovariance:
         t = np.arange(n) * self.dt
         if width == 1:  # still running: E[x(t) x(t')] = sf(max(t, t'))
             sf = np.asarray(spec.f0.sf(t), dtype=float)
-            c = np.minimum.outer(sf, sf) - np.outer(sf, sf)
-            return (mass * c)[None, :, None, :]
+            c = np.minimum.outer(sf, sf)
+            c -= np.multiply.outer(sf, sf)
+            c *= mass
+            return c[None, :, None, :]
         # in stage 1 (e) and in stage 2 (i) of h0
         h0, grid = self.spec.residual_joint(), self.grid[:n]
         g0sf = np.asarray(h0.g.sf(t), dtype=float)
         # tails[d, k] = P(stage 1 over by t_k, stage 2 still running at t_{k+d})
         tails = h0.g.cdf(grid) - _conv_cdf_values(h0, grid, n)
         psi0 = tails[0]
-        k = np.arange(n)
-        lag = np.abs(k[None, :] - k[:, None])
-        m_ii = tails[lag, np.minimum.outer(k, k)]
-        # in stage 1 at t_i rules out stage 2 at any t_j <= t_i
-        m_ei = np.where(k[None, :] > k[:, None], psi0[None, :] - tails[lag, k[:, None]], 0.0)
-        c_ei = m_ei - np.outer(g0sf, psi0)
         out = np.empty((2, n, 2, n))
-        out[0, :, 0] = np.minimum.outer(g0sf, g0sf) - np.outer(g0sf, g0sf)
-        out[0, :, 1] = c_ei
-        out[1, :, 0] = c_ei.T
-        out[1, :, 1] = m_ii - np.outer(psi0, psi0)
-        return mass * out
+        ee, ei, ii = out[0, :, 0], out[0, :, 1], out[1, :, 1]
+        np.minimum.outer(g0sf, g0sf, out=ee)
+        ee -= np.multiply.outer(g0sf, g0sf)
+        # [i, j] = P(in stage 2 at t_i and at t_j) = tails[|j - i|, min(i, j)]
+        _by_lag(ii, tails)
+        _by_lag(ii.T, tails)
+        ii -= np.multiply.outer(psi0, psi0)
+        # in stage 1 at t_i rules out stage 2 at any t_j <= t_i: with psi0[j]
+        # below the diagonal (and psi0[i] = tails[0, i] on it), psi0 - ei
+        # is exactly 0 there
+        _by_lag(ei, tails)
+        np.copyto(ei, psi0, where=np.tri(n, k=-1, dtype=bool))
+        np.subtract(psi0, ei, out=ei)
+        ei -= np.multiply.outer(g0sf, psi0)
+        out[1, :, 0] = ei.T
+        out *= mass
+        return out
+
+
+def _by_lag(dest: np.ndarray, table: np.ndarray) -> None:
+    """dest[i, j] = table[j - i, i] for j >= i, from a table over (lag,
+    start node); dest below its diagonal is left as it was."""
+    n = len(dest)
+    for i in range(n):
+        dest[i, i:] = table[: n - i, i]
 
 
 # ----------------------------------------------------------------- sampling
 
 
 def _chol_psd(mat: np.ndarray, label: str) -> np.ndarray:
-    """Factor L, (m, rank), with L @ L.T == mat for a PSD covariance block.
+    """Factor L, (m, rank), with L @ L.T == mat for a PSD covariance block,
+    in the block's own memory: mat is consumed, and L is a view of it whose
+    rows are contiguous.
 
-    Pivoted Cholesky stops at the numerical rank, so singular blocks (the
-    t = 0 rows of the initial pools, deterministic clocks, instant stages)
-    are factored exactly, with nothing added to the diagonal. The Schur
-    complement it leaves out must be rounding noise; a block that is
-    indefinite beyond that raises with its minimum eigenvalue.
+    mat is a C-ordered float array and bitwise symmetric, so its transpose
+    is a Fortran-ordered view of the same matrix, which LAPACK's pivoted
+    Cholesky (dpstrf) factors without a copy. Pivoted Cholesky stops at the
+    numerical rank, so singular blocks (the t = 0 rows of the initial pools,
+    deterministic clocks, instant stages) are factored exactly, with nothing
+    added to the diagonal. The Schur complement it leaves out must be
+    rounding noise; a block that is indefinite beyond that raises with its
+    minimum eigenvalue. dpstrf never touches the strict upper triangle, so
+    that triangle and the diagonal saved beforehand still hold the block
+    for both checks.
     """
-    mat = np.asarray(mat, dtype=float)
-    # factor a Fortran-ordered copy in place: LAPACK's own copy of a C array is slower
-    low, piv, rank, _ = dpstrf(np.array(mat, order="F"), lower=1, overwrite_a=True)
-    low = low[:, :rank]
-    low *= np.tri(*low.shape, dtype=bool)  # dpstrf leaves the upper triangle as it was
+    diag = np.diagonal(mat).copy()
+    low, piv, rank, _ = dpstrf(mat.T, lower=1, overwrite_a=True)
     order = piv - 1
-    rest = mat[np.ix_(order[rank:], order[rank:])] - low[rank:] @ low[rank:].T
-    if rest.size and np.abs(rest).sum(axis=1).max() > _PSD_RTOL * np.max(np.diag(mat)):
-        mineig = float(np.linalg.eigvalsh(mat)[0])
-        raise RuntimeError(
-            f"{label} covariance block is indefinite beyond rounding "
-            f"(min eigenvalue {mineig:.3e})"
-        )
-    fac = np.empty(low.shape)
-    fac[order] = low
-    return fac
+    left = order[rank:]
+    if left.size:
+        rest = low[np.minimum.outer(left, left), np.maximum.outer(left, left)]
+        np.fill_diagonal(rest, diag[left])
+        rest -= low[rank:, :rank] @ low[rank:, :rank].T
+        if np.abs(rest).sum(axis=1).max() > _PSD_RTOL * np.max(diag):
+            upper = np.triu(low, 1)
+            mineig = float(np.linalg.eigvalsh(upper + upper.T + np.diag(diag))[0])
+            raise RuntimeError(
+                f"{label} covariance block is indefinite beyond rounding "
+                f"(min eigenvalue {mineig:.3e})"
+            )
+    fac = low[:, :rank]
+    for j in range(1, rank):  # the part of the block that L's columns still hold
+        fac[:j, j] = 0.0
+    # fac[order] = L, one slab of columns at a time
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    step = max(1, _SLAB_DOUBLES // len(fac))
+    for c in range(0, rank, step):
+        fac[:, c : c + step] = fac[inv, c : c + step]
+    # Rows of L contiguous: a GEMM against L.T then sums in the same order
+    # as one against a C-ordered copy of L. With columns contiguous, the
+    # small-matrix GEMM kernels of OpenBLAS sum in another order.
+    _transpose(low)
+    return low.T[:, :rank]
+
+
+def _transpose(a: np.ndarray) -> None:
+    """a[:] = a.T for a square array, one pair of tiles at a time."""
+    for i in range(0, len(a), _TILE):
+        ii = slice(i, i + _TILE)
+        a[ii, ii] = a[ii, ii].T.copy()
+        for j in range(i + _TILE, len(a), _TILE):
+            jj = slice(j, j + _TILE)
+            tile = a[ii, jj].copy()
+            a[ii, jj] = a[jj, ii].T
+            a[jj, ii] = tile.T
 
 
 def _first_equal_row(mat: np.ndarray) -> np.ndarray:
@@ -284,9 +355,11 @@ def _first_equal_row(mat: np.ndarray) -> np.ndarray:
 def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
     """Sample joint driver paths on the covariance grid.
 
-    Each independent block of ``cov`` is factored once, over every grid
-    node, and all paths of its base processes come from one GEMM of
-    standard normals against that factor. Every driver is then its fixed
+    Each independent block of ``cov`` is built afresh over every grid node
+    and factored in the memory it was built in, and all paths of its base
+    processes come from one GEMM of standard normals against that factor.
+    The block is freed before the next one is built, so sampling holds one
+    block plus the build's transients. Every driver is then its fixed
     combination of its block's base paths, so the additive identities
     (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold exactly on each path.
     W drivers are exactly 0 at t = 0. Returns {driver id: (paths, len(grid))}.
@@ -297,14 +370,16 @@ def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
     law, n = _LAW[cov.kind], cov.n
     out = {}
     for block in dict.fromkeys(b for b, _ in law.values()):
-        base = cov._base(block, n - 1)
-        width = base.shape[0]
-        flat = base.reshape(width * n, width * n)
-        fac = _chol_psd(flat, f"{cov.kind} {block}")
-        z = rng.standard_normal((paths, fac.shape[1])) @ fac.T
+        flat = cov._build(block, n)
+        width = flat.shape[0]
+        flat = flat.reshape(width * n, width * n)
         # Equal rows are one random variable: copying its column keeps it
         # bitwise equal, e.g. exactly flat where no one can change state.
-        z = z[:, _first_equal_row(flat)].reshape(paths, width, n)
+        first = _first_equal_row(flat)
+        fac = _chol_psd(flat, f"{cov.kind} {block}")
+        z = rng.standard_normal((paths, fac.shape[1])) @ fac.T
+        del flat, fac  # the block goes before the next one is built
+        z = z[:, first].reshape(paths, width, n)
         for d, (b, coef) in law.items():
             if b == block:
                 out[d] = sum(c * z[:, a] for a, c in enumerate(coef) if c)

@@ -1,6 +1,10 @@
 """Tests for the Gaussian limit machinery: driver covariances, joint
 sampling, the fluctuation path solves, and the Markovian SIS SDE check."""
 
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -48,6 +52,13 @@ def _sirs_setup(dt=0.1, horizon=2.0):
     grid = uniform_grid(horizon, dt)
     h = JointDurationDist(g=Exponential(1.0), f=Uniform(0.5, 1.5))
     spec = ModelSpec(kind="SIRS", lam=2.5, i0=0.1, r0=0.15, h=h)
+    return spec, solve_fluid(spec, grid), grid
+
+
+def _fclt_sis_setup(dt=0.0125, horizon=5.0):
+    # the benchmark's fclt_sis model on 401 nodes: its W block is 802 x 802
+    grid = uniform_grid(horizon, dt)
+    spec = ModelSpec(kind="SIS", lam=2.0, i0=0.3, f=Gamma(2.0, 2.0))
     return spec, solve_fluid(spec, grid), grid
 
 
@@ -304,13 +315,60 @@ def test_cholesky_jitter_policy():
     v = np.array([1.0, -1.0]) / np.sqrt(2.0)
     near = np.eye(2) - (1.0 + 1e-11) * np.outer(v, v)
     assert np.linalg.eigvalsh(near)[0] < 0.0
+    orig = near.copy()  # the factor consumes its input
     lfac = _chol_psd(near, "probe")
     assert np.all(np.isfinite(lfac))
-    assert np.max(np.abs(lfac @ lfac.T - near)) < 1e-10
+    assert np.max(np.abs(lfac @ lfac.T - orig)) < 1e-10
     # genuinely indefinite block fails with the minimum eigenvalue
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(RuntimeError, match="eigenvalue"):
         _chol_psd(bad, "probe")
+
+
+def test_indefinite_block_reports_its_own_eigenvalue():
+    # the factor overwrites the lower triangle that LAPACK reads, so the
+    # error path rebuilds the block from the strict upper triangle and the
+    # diagonal
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((90, 90)))
+    lam = np.concatenate([np.linspace(1.0, 3.0, 80), -np.linspace(0.1, 0.5, 10)])
+    mat = (q * lam) @ q.T
+    mat = np.triu(mat) + np.triu(mat, 1).T
+    orig = mat.copy()
+    want = np.linalg.eigvalsh(orig)[0]
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kw):
+        seen.append(eigvalsh(a, *args, **kw))
+        return seen[-1]
+
+    with mock.patch.object(np.linalg, "eigvalsh", spy):
+        with pytest.raises(RuntimeError, match=f"min eigenvalue {want:.3e}"):
+            _chol_psd(mat, "probe")
+    assert not np.array_equal(mat, orig)  # factored in place
+    assert len(seen) == 1
+    assert abs(seen[0][0] - want) <= 1e-12 * abs(want)
+
+
+def test_sampler_holds_one_block():
+    # the W block of the fclt_sis model is the largest; sampling it may add
+    # the build's transients (about 0.3 of the block), not a copy of it
+    spec, fl, grid = _fclt_sis_setup()
+    assert len(grid) >= 401
+    cov = DriverCovariance(fl)
+    block_bytes = (2 * cov.n) ** 2 * 8
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sample_drivers(cov, grid, np.random.default_rng(0), paths=16)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5 * block_bytes, peak / block_bytes
 
 
 def test_sampled_driver_identities_hold_pathwise():
@@ -415,6 +473,45 @@ def test_sample_grid_must_match():
     cov = DriverCovariance(fl)
     with pytest.raises(ValueError, match="grid"):
         sample_drivers(cov, uniform_grid(2.0, 0.1), np.random.default_rng(0))
+
+
+# Sampler runs whose every draw is fixed: SIS with an i0 pool, SEIR with e0
+# and i0 pools, SIRS with an r0 pool, and a deterministic period whose W
+# block is rank deficient.
+def _pinned_sampler_runs():
+    grid = uniform_grid(2.0, 0.05)
+    det = ModelSpec(kind="SIR", lam=1.5, i0=0.1, f=Deterministic(0.5))
+    return {
+        "sis_i0": _fclt_sis_setup() + (41,),
+        "seir_e0_i0": _seir_setup() + (42,),
+        "sirs_r0": _sirs_setup() + (43,),
+        "sir_deterministic": (det, solve_fluid(det, grid), grid, 44),
+    }
+
+
+# sha256 of each run's sampled drivers, recorded with the sampler that
+# factored a cached copy of each block
+_PINNED_SAMPLES = {
+    "seir_e0_i0": "a11b6c17e0cfab7f7bbcb80ebe561073204980154feca9d7f8ec36470a85cf3f",
+    "sir_deterministic": "de787ce6adb530653f493dfc30705cd5d694b23b25d5344e939934f32fd7f6ba",
+    "sirs_r0": "006888722915f75cafb2addc466e06cb6ae75c6dcb6f0fa00640b4b33c24dc1d",
+    "sis_i0": "29af2f5ee20ceebbc6beda7a6880e57a1e1bc4c876d4525ab8ed9b00a73f6d50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SAMPLES))
+def test_sampled_stream_is_pinned(name):
+    spec, fl, grid, seed = _pinned_sampler_runs()[name]
+    cov = DriverCovariance(fl)
+    if name == "sir_deterministic":
+        w = cov._build("W", cov.n).reshape(2 * cov.n, -1)
+        assert _chol_psd(w, "W").shape[1] < 2 * cov.n
+    dr = sample_drivers(cov, grid, np.random.default_rng(seed), paths=5)
+    h = hashlib.sha256()
+    for d in DRIVER_IDS[spec.kind]:
+        h.update(d.encode())
+        h.update(np.ascontiguousarray(dr[d]).tobytes())
+    assert h.hexdigest() == _PINNED_SAMPLES[name]
 
 
 # -------------------------------------------------------------- path solves

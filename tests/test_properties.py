@@ -7,7 +7,8 @@ and the step loop's blocked history sums against a step loop whose history
 sums are direct dots. Over random models, the fluid conserves mass with
 monotone cumulatives and the fluctuation limit's compartments sum to zero;
 the driver covariance is symmetric and positive semidefinite to rounding,
-and sampled drivers keep their additive identities; the simulator's event log
+each of its blocks is built bitwise symmetric, and sampled drivers keep
+their additive identities; the simulator's event log
 replays to its path at every node, gives each infection a new id in epoch
 order and each agent its pool's transitions in order, and the integrated
 infection intensity read from that log starts at 0 and never decreases.
@@ -19,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epilim import ModelSpec, TabulatedRate, distributions, fluid
+from epilim import ModelSpec, TabulatedRate, distributions, fclt, fluid
 from epilim.agent_sim import (
     _STAGES,
     BECOME_INFECTIOUS,
@@ -317,6 +318,21 @@ def test_driver_covariance_is_symmetric_psd(case, fracs):
     mat = cov.matrix([(d, grid[k]) for d in DRIVER_IDS[spec.kind] for k in nodes])
     np.testing.assert_array_equal(mat, mat.T)
     assert np.linalg.eigvalsh(mat)[0] >= -1e-12 * np.max(np.diag(mat))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_models(), st.floats(0.0, 1.0))
+def test_driver_blocks_are_bitwise_symmetric(case, frac):
+    # the sampler factors each block in place, reading it as its transpose
+    spec, grid = case
+    cov = DriverCovariance(solve_fluid(spec, grid))
+    n = 1 + round(frac * (len(grid) - 1))
+    for block in dict.fromkeys(b for b, _ in fclt._LAW[spec.kind].values()):
+        blk = cov._w_block(n) if block == "W" else cov._pool_block(block, n)
+        width = blk.shape[0]
+        assert blk.shape == (width, n, width, n)
+        bits = blk.reshape(width * n, width * n).view(np.uint64)
+        np.testing.assert_array_equal(bits, bits.T, err_msg=block)
 
 
 # signed driver sums that vanish: each driver is one sum of its block's base
