@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .agent_sim import ModelSpec, TabulatedRate, simulate_ensemble
+from .agent_sim import simulate_ensemble
 from .distributions import (
     Exponential,
     JointDurationDist,
@@ -43,9 +43,9 @@ from .equilibria import (
 from .fclt import DriverCovariance, sample_drivers, solve_fclt_path
 from .fluid import solve_fluid, solve_markovian_ode, uniform_grid
 from .harness import convergence_rate, empirical_cov, fluid_scale
+from .model import KINDS, ModelSpec, TabulatedRate
 
 ENGINES = ("simulate", "fluid", "fclt", "verify", "equilibrium", "rate")
-KINDS = ("SIS", "SIR", "SIRS", "SEIR")
 
 # sup-norm budget for the verify engine's solver cross-check
 VERIFY_TOL = 1e-4

@@ -3,15 +3,17 @@
 The driver law (DriverCovariance): every limit driver is a fixed linear
 combination of the base processes of one independent Gaussian block, and
 each block's covariance is built in closed form, on first use and only up
-to the latest node asked for. The two-stage blocks read the law of both
-stages at two times from the fluid's own Stieltjes sum of the joint law h
-(distributions._conv_cdf_values, every time shift at once), so the fluid
-and the driver law share one quadrature. The sampler draws each block from
-one factor of that covariance over every node, so the sampled law is this
-law and the additive identities between drivers hold exactly by
-construction. Also the linear stochastic Volterra solve for (Shat, Ehat,
-Ihat, Rhat), which is the fluid's renewal system linearized with the
-drivers as extra forcing, and the Markovian SIS SDE cross-check.
+to the latest node asked for. The one-stage W block reads F as the fluid's
+cdf_kernel holds it, with its atoms added exactly. The two-stage blocks
+read the law of both stages at two times from the fluid's own Stieltjes
+sum of the joint law h (distributions._conv_cdf_values, every time shift
+at once), so the fluid and the driver law share one quadrature. The
+sampler draws each block from one factor of that covariance over every
+node, so the sampled law is this law and the additive identities between
+drivers hold exactly by construction. Also the linear stochastic Volterra
+solve for (Shat, Ehat, Ihat, Rhat), the fluid's renewal system linearized
+on its own kernel table with the drivers as extra forcing, and the
+Markovian SIS SDE cross-check.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpstrf
 
-from .agent_sim import ModelSpec
-from .distributions import _conv_cdf_values, _conv_head, grid_step, tabulate_kernels
+from .distributions import _conv_cdf_values, _conv_head, grid_step
 from .fluid import (
     ConvKernel,
     FluidSolution,
+    _atom_lag,
+    _cumtrapz,
     _equations,
     conv_full,
     solve_linear_volterra,
 )
+from .model import _STAGES, ModelSpec
 
 __all__ = [
     "DRIVER_IDS",
@@ -189,11 +193,16 @@ class DriverCovariance:
         dt, q = self.dt, self.qpath[:n]
         t = np.arange(n) * dt
         if self.kind in ("SIS", "SIR"):
-            kernels = [np.asarray(self.spec.f.cdf(t), dtype=float)]
+            # F as the fluid's cdf_kernel holds it: a continuous part, plus
+            # atoms on nodes that are added exactly below
+            f = self.spec.f
+            kernels = [ConvKernel(np.asarray(f.cdf_continuous(t), dtype=float),
+                                  tuple((_atom_lag(a, dt), w) for a, w in f.atoms()))]
         else:
             # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi
             rows = _conv_cdf_values(self.spec.h, self.grid[:n], n)
-            kernels = [np.asarray(self.spec.h.g.cdf(t), dtype=float), rows[0].copy()]
+            kernels = [ConvKernel(np.asarray(self.spec.h.g.cdf(t), dtype=float)),
+                       ConvKernel(rows[0].copy())]
             # [d, i] = int_0^{t_i} q(s) rows[d](t_i - s) ds, product trapezoid
             conv = dt * (_conv_head(rows, q, n) - 0.5 * q[0] * rows - 0.5 * rows[:, :1] * q)
             conv[:, 0] = 0.0  # an integral over an empty interval
@@ -208,7 +217,7 @@ class DriverCovariance:
             # written into its block; the product is the only other table.
             # lagged[i, j] = kernel[j - i], 0 below: a view, not a gather.
             table = out[0, :, y]
-            lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), kernel]), n)[::-1]
+            lagged = sliding_window_view(np.concatenate([np.zeros(n - 1), kernel.cont]), n)[::-1]
             prod = q[:, None] * lagged
             np.cumsum(prod, axis=0, out=table)
             table -= 0.5 * prod[0]
@@ -216,6 +225,12 @@ class DriverCovariance:
             table -= prod
             table *= dt
             del prod
+            # an atom of mass w at lag a adds w Q(min(t_i, t_j - a)), with Q
+            # the cumulative trapezoid of q: conv_full's rule, exact at nodes
+            for a, w in kernel.atoms:
+                if a < n:
+                    lags = np.minimum.outer(np.arange(n), np.arange(n - a))
+                    table[:, a:] += w * _cumtrapz(q, dt)[lags]
             diag.append(np.diagonal(table).copy())
         below = np.tri(n, k=-1, dtype=bool)  # [i, j]: t_i > t_j
         for x in range(m):
@@ -232,24 +247,23 @@ class DriverCovariance:
 
     def _pool_block(self, block: str, n: int) -> np.ndarray:
         """Base covariance, on the first n nodes, of the initial pool whose
-        mass is spec.<block>."""
-        spec = self.spec
-        width = next(len(c) for b, c in _LAW[self.kind].values() if b == block)
-        mass = getattr(spec, block)
+        mass is spec.<block>: one base per stage of its law in _STAGES."""
+        law, width = next((getattr(self.spec, law), len(codes))
+                          for pool, law, codes in _STAGES[self.kind] if pool == block)
+        mass = getattr(self.spec, block)
         if mass <= 0:
             return np.zeros((width, n, width, n))
         t = np.arange(n) * self.dt
         if width == 1:  # still running: E[x(t) x(t')] = sf(max(t, t'))
-            sf = np.asarray(spec.f0.sf(t), dtype=float)
+            sf = np.asarray(law.sf(t), dtype=float)
             c = np.minimum.outer(sf, sf)
             c -= np.multiply.outer(sf, sf)
             c *= mass
             return c[None, :, None, :]
-        # in stage 1 (e) and in stage 2 (i) of h0
-        h0, grid = self.spec.residual_joint(), self.grid[:n]
-        g0sf = np.asarray(h0.g.sf(t), dtype=float)
+        # in stage 1 (e) and in stage 2 (i) of the joint law h0
+        g0sf = np.asarray(law.g.sf(t), dtype=float)
         # tails[d, k] = P(stage 1 over by t_k, stage 2 still running at t_{k+d})
-        tails = h0.g.cdf(grid) - _conv_cdf_values(h0, grid, n)
+        tails = law.g.cdf(self.grid[:n]) - _conv_cdf_values(law, self.grid[:n], n)
         psi0 = tails[0]
         out = np.empty((2, n, 2, n))
         ee, ei, ii = out[0, :, 0], out[0, :, 1], out[1, :, 1]
@@ -417,20 +431,21 @@ def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
                     ihat0=0.0, ehat0=0.0, seed=None) -> FcltPath:
     """Solve the limit fluctuation equations for sampled driver paths.
 
-    The solve is the fluid system linearized: the renewal terms and kernels
-    of the fluid's equations, with initial masses (0, ihat0, ehat0), the
-    drivers added to the forcings, and the rate lam S I replaced by
-    lam (Sbar Ihat + Ibar Shat). drivers maps driver ids to (paths, n) or
-    (n,) arrays on the grid; only the ids in the kind's forcings are read.
-    ihat0/ehat0 are the initial fluctuation values (scalars or per-path).
+    The solve is the fluid system linearized: the renewal terms of the
+    fluid's equations on its own kernel table (so spec must equal fluid.spec),
+    with initial masses (0, ihat0, ehat0), the drivers added to the forcings,
+    and the rate lam S I replaced by lam (Sbar Ihat + Ibar Shat). drivers
+    maps driver ids to (paths, n) or (n,) arrays on the grid; only the ids in
+    the kind's forcings are read. ihat0/ehat0 are the initial fluctuation
+    values (scalars or per-path).
     """
     grid = np.asarray(grid, dtype=float)
     dt = grid_step(grid)
     n = len(grid)
     if len(fluid.grid) != n or np.max(np.abs(fluid.grid - grid)) > 1e-9:
         raise ValueError("drivers, fluid and grid must share the tabulation grid")
-    if spec.kind != fluid.kind:
-        raise ValueError("spec kind does not match the fluid solution")
+    if spec != fluid.spec:  # the solve linearizes around this fluid
+        raise ValueError("spec (kind, rate, masses or laws) does not match the fluid solution's")
     kind = spec.kind
     forced = _FORCED[kind]
     flat = True
@@ -445,8 +460,7 @@ def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
     e0v = np.asarray(ehat0, dtype=float).reshape(-1, 1)
     flat = flat and i0v.size == 1 and e0v.size == 1
 
-    kt = tabulate_kernels(spec.h, spec.residual_joint(), grid) if spec.h is not None else None
-    terms, _, cs, rest = _equations(spec, grid, kt, 0.0, i0v, e0v)
+    terms, _, cs, rest = _equations(spec, grid, fluid.kernels, 0.0, i0v, e0v)
 
     def forcing(name, f):
         # sampled drivers are Fortran-ordered and f broadcasts over paths,

@@ -5,8 +5,8 @@ deterministic-duration delay special cases used as cross-checks.
 
 Each kind's system (_equations) is written once: its renewal terms, the
 closure giving S, and the compartments that are convolutions of the rate.
-The fluid solves it with the rate lam S I; fclt solves the same terms with
-the linearized rate and the drivers as extra forcing.
+The fluid solves it with the rate lam S I; fclt solves the same terms on
+the fluid's kernel table, with the linearized rate and drivers as forcing.
 
 Discretization: uniform grid, product-trapezoidal convolution. Kernel jump
 discontinuities are carried separately as (lag, jump) atoms whose
@@ -28,18 +28,19 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agent_sim import ModelSpec
 from .distributions import (
     DurationDist,
+    KernelTable,
     _conv_head,
     grid_step,
     tabulate_kernels,
     uniform_grid,
 )
+from .model import KINDS, ModelSpec
 
 __all__ = [
     "ConvKernel",
@@ -259,7 +260,8 @@ class FluidSolution:
     A is the cumulative infection fraction and L the cumulative onset
     fraction (equal to A except for SEIR). diagnostics records the grid
     step actually used, internal halvings, fixed-point iteration counts,
-    and probe residuals of the discretized equations.
+    and probe residuals of the discretized equations. kernels is the (h, h0)
+    table of the solve on this grid; None for SIS/SIR, ODE and delay solves.
     """
 
     kind: str
@@ -272,6 +274,7 @@ class FluidSolution:
     L: np.ndarray
     spec: object = field(repr=False, default=None)
     diagnostics: dict = field(default_factory=dict)
+    kernels: KernelTable | None = field(repr=False, default=None)
 
 
 def _fixed_point_scalar(update, q0):
@@ -318,21 +321,12 @@ def solve_fluid(spec: ModelSpec, grid) -> FluidSolution:
         except _StepDiverged as e:
             last = e
             continue
-        if halving:
-            stride = 1 << halving
-            idx = np.arange(0, len(g), stride)
-            sol = FluidSolution(
-                kind=sol.kind,
-                grid=grid,
-                S=sol.S[idx],
-                E=sol.E[idx],
-                I=sol.I[idx],
-                R=sol.R[idx],
-                A=sol.A[idx],
-                L=sol.L[idx],
-                spec=spec,
+        if halving:  # back on the caller's grid, with the kernels tabulated there
+            idx = np.arange(0, len(g), 1 << halving)
+            sol = replace(
+                sol, grid=grid, **{c: getattr(sol, c)[idx] for c in "SEIRAL"},
                 diagnostics=dict(sol.diagnostics, halvings=halving, dt=dt),
-            )
+                kernels=sol.kernels and tabulate_kernels(spec.h, spec.residual_joint(), grid))
         return sol
     raise RuntimeError(
         f"within-step fixed point failed to converge after {_MAX_HALVINGS} grid "
@@ -374,7 +368,7 @@ def _equations(spec, grid, kt, unit, i0, e0):
         terms.append(("S", (unit - i0) * np.ones(n), minus_cum))
         rest = {"R": (i0 * spec.f0.cdf(grid), cdf_kernel(spec.f, grid))}
         return terms, 0.0, (0.0, 1.0), rest
-    h0 = spec.residual_joint()
+    h0 = kt.h0
     psi = table_kernel(kt.psi, kt.psi_atoms, grid)
     if spec.kind == "SEIR":
         terms = [("I", e0 * kt.psi0 + f0_part(i0, "sf"), psi),
@@ -459,6 +453,7 @@ def _solve_fluid_on(spec, grid):
             "max_iterations": max_it,
             "probe_residual": _probe_residual(out["I"], forcing, ker, q, dt),
         },
+        kernels=kt,
     )
 
 
@@ -554,7 +549,7 @@ def solve_markovian_ode(kind, lam, gamma, mu, init, grid) -> FluidSolution:
     gamma E->I for SEIR. For SIRS gamma is the I->R rate and mu the R->S
     rate, matching the equilibrium formulas.
     """
-    if kind not in ("SIS", "SIR", "SIRS", "SEIR"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if lam < 0 or mu <= 0 or (kind == "SEIR" and gamma <= 0) or (kind == "SIRS" and gamma <= 0):
         raise ValueError("rates must be positive")

@@ -6,7 +6,7 @@ errors, convergence_rate fits the law-of-large-numbers error decay, and
 reconstruct_drivers rebuilds the scaled martingale and duration-noise
 processes of one run exactly from its event log. It reads the counts from
 the simulator's one vectorized replay of the log (agent_sim._replay) and
-the exit transition from its stage table (agent_sim._STAGES), so no event
+the exit transition from the model's stage table (model._STAGES), so no event
 is visited in a Python loop.
 """
 
@@ -17,17 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent_sim import (
-    _STAGES,
-    INFECT,
     CompartmentPath,
     EventLog,
-    ModelSpec,
     _intensity_from_counts,
     _replay,
     simulate_ensemble,
 )
 from .distributions import uniform_grid
 from .fluid import FluidSolution, solve_fluid
+from .model import _STAGES, INFECT, ModelSpec
 
 __all__ = [
     "EnsembleStats",

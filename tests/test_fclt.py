@@ -2,6 +2,7 @@
 sampling, the fluctuation path solves, and the Markovian SIS SDE check."""
 
 import hashlib
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -159,6 +160,23 @@ def test_cumulative_driver_variance_equals_fluid_cumulative():
         cov = DriverCovariance(fl)
         got = np.array([cov.cov("R1", t, "R1", t) for t in grid])
         assert np.max(np.abs(got - post)) < 1e-12
+    # the same for one-stage laws with atoms: R1 against R less the i0 pool
+    for f in (Deterministic(1.0), PiecewiseEmpirical([0.5, 1.0, 1.0, 2.0], [0.0, 0.3, 0.7, 1.0])):
+        spec = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=f)
+        fl = solve_fluid(spec, grid)
+        cov = DriverCovariance(fl)
+        got = np.array([cov.cov("R1", t, "R1", t) for t in grid])
+        assert np.max(np.abs(got - (fl.R - spec.i0 * spec.f0.cdf(grid)))) < 1e-12, f
+    # SIS at its endemic state, q = lam S I = 1/2 throughout: I1 counts the
+    # infections of the last time unit, so its variance is 1/2 once t >= 1
+    spec = ModelSpec(kind="SIS", lam=2.0, i0=0.5, f=Deterministic(1.0))
+    for dt in (0.05, 0.025):
+        grid = uniform_grid(5.0, dt)
+        fl = solve_fluid(spec, grid)
+        cov = DriverCovariance(fl)
+        got = np.array([cov.cov("I1", t, "I1", t) for t in grid])
+        assert np.max(np.abs(got - (fl.I - spec.i0 * spec.f0.sf(grid)))) < 1e-12
+        assert abs(cov.cov("I1", 5.0, "I1", 5.0) - 0.5) < 1e-12
 
 
 def test_initial_block_closed_form():
@@ -490,10 +508,11 @@ def _pinned_sampler_runs():
 
 
 # sha256 of each run's sampled drivers, recorded with the sampler that
-# factored a cached copy of each block
+# factored a cached copy of each block; sir_deterministic's again when the
+# one-stage W law began to add the atoms of F exactly
 _PINNED_SAMPLES = {
     "seir_e0_i0": "a11b6c17e0cfab7f7bbcb80ebe561073204980154feca9d7f8ec36470a85cf3f",
-    "sir_deterministic": "de787ce6adb530653f493dfc30705cd5d694b23b25d5344e939934f32fd7f6ba",
+    "sir_deterministic": "9d6e0d1f800eeb30482da0f15b448d9893983edcba355bc6d41dd57e13d5e3eb",
     "sirs_r0": "006888722915f75cafb2addc466e06cb6ae75c6dcb6f0fa00640b4b33c24dc1d",
     "sis_i0": "29af2f5ee20ceebbc6beda7a6880e57a1e1bc4c876d4525ab8ed9b00a73f6d50",
 }
@@ -586,6 +605,43 @@ def test_solve_validation():
         solve_fclt_path(zd, flni, noi, segrid, ihat0=1.0)
     out = solve_fclt_path(zd, flni, noi, segrid, ehat0=1.0)  # fine without f0
     assert np.max(np.abs(out.Ehat + out.Ihat + out.Rhat + out.Shat)) < 1e-10
+
+
+@pytest.mark.parametrize("setup", [_seir_setup, _sirs_setup])
+def test_fclt_run_tabulates_the_kernels_once(setup, monkeypatch):
+    # fluid -> driver law -> samples -> path solve: the path solve reads the
+    # fluid's own kernel table. Every epilim name bound to tabulate_kernels
+    # is counted, whichever module calls it.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tabulate_kernels(*args)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("epilim")
+                and getattr(mod, "tabulate_kernels", None) is tabulate_kernels):
+            monkeypatch.setattr(mod, "tabulate_kernels", counted)
+    spec, fl, grid = setup()
+    dr = sample_drivers(DriverCovariance(fl), grid, np.random.default_rng(3), paths=4)
+    solve_fclt_path(dr, fl, spec, grid, ihat0=0.1)
+    assert len(calls) == 1
+
+
+def test_solve_needs_the_fluids_own_spec():
+    # a spec of the same kind with other laws would linearize around a
+    # fluid that is not its own
+    spec, fl, grid = _sir_setup()
+    dr = _zero_drivers("SIR", len(grid))
+    with pytest.raises(ValueError, match="spec"):
+        solve_fclt_path(dr, fl, ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Gamma(2.0, 2.0)), grid)
+    equal = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))  # a new, equal spec
+    assert np.max(np.abs(solve_fclt_path(dr, fl, equal, grid, ihat0=1.0).Ihat)) > 0.0
+    spec, fl, grid = _sirs_setup()
+    other_h0 = ModelSpec(kind="SIRS", lam=2.5, i0=0.1, r0=0.15, h=spec.h,
+                         h0=JointDurationDist(g=Uniform(0.0, 2.0), f=spec.h.f))
+    with pytest.raises(ValueError, match="spec"):
+        solve_fclt_path(_zero_drivers("SIRS", len(grid)), fl, other_h0, grid)
 
 
 def test_seir_solve_reads_no_onset_drivers():

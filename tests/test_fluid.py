@@ -12,6 +12,7 @@ from epilim.distributions import (
     JointDurationDist,
     LogNormal,
     Uniform,
+    tabulate_kernels,
     uniform_grid,
 )
 from epilim.fluid import (
@@ -307,6 +308,23 @@ def test_stiff_rate_triggers_halving_then_fails_honestly():
     hot = ModelSpec(kind="SIR", lam=120.0, i0=0.05, f=Exponential(1.0))
     with pytest.raises(RuntimeError, match="halvings"):
         solve_fluid(hot, uniform_grid(1.0, 0.1))
+
+
+@pytest.mark.parametrize("kind, pool", [("SEIR", "e0"), ("SIRS", "r0")])
+def test_halved_fluid_keeps_its_kernels_on_the_requested_grid(kind, pool):
+    # the fclt solve reads fluid.kernels on the requested grid, so after a
+    # halving the table is tabulated there, not subsampled from the finer one
+    h = JointDurationDist(g=Exponential(1.0), f=Uniform(0.5, 1.5))
+    spec = ModelSpec(kind=kind, lam=40.0, i0=0.05, h=h, **{pool: 0.05})
+    grid = uniform_grid(4.0, 0.1)
+    sol = solve_fluid(spec, grid)
+    assert sol.diagnostics["halvings"] > 0
+    want = tabulate_kernels(spec.h, spec.residual_joint(), grid)
+    for name in ("grid", "phi", "psi", "phi0", "psi0"):
+        np.testing.assert_array_equal(getattr(sol.kernels, name), getattr(want, name))
+    assert (sol.kernels.phi_atoms, sol.kernels.psi_atoms) == (want.phi_atoms, want.psi_atoms)
+    sir = ModelSpec(kind="SIR", lam=40.0, i0=0.05, f=Exponential(1.0))
+    assert solve_fluid(sir, grid).kernels is None  # one-stage kinds have no table
 
 
 def test_off_grid_point_mass_is_rejected():

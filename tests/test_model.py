@@ -1,0 +1,56 @@
+"""The model module and the package's layering: the limit solvers read the
+model from epilim.model and import nothing of the simulator."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+
+import epilim
+from epilim import agent_sim, model
+from epilim.fluid import FluidSolution
+
+SRC = Path(epilim.__file__).parent
+
+# the limit layer, and the modules it must not import
+_LIMIT_LAYER = ("model", "distributions", "fluid", "fclt", "equilibria")
+_ABOVE = {"agent_sim", "harness", "cli"}
+
+
+def _package_imports(path: Path) -> set:
+    """Every epilim module a source file names in an import statement."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("epilim"):
+                continue  # another package
+            # from .x import y, from epilim.x import y, from . import x
+            out.update(p for p in (node.module or "").split(".") if p != "epilim")
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("epilim."):
+                    out.update(alias.name.split(".")[1:])
+    return out
+
+
+def test_limit_layer_imports_no_simulator():
+    # a static check: epilim/__init__.py imports every module, so the
+    # modules already loaded at run time say nothing about who imports whom
+    assert _package_imports(SRC / "harness.py") & _ABOVE == {"agent_sim"}  # the guard sees imports
+    for name in _LIMIT_LAYER:
+        assert not _package_imports(SRC / f"{name}.py") & _ABOVE, name
+
+
+def test_model_names_resolve_where_they_did():
+    for mod in (epilim, agent_sim, model):
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
+    for name in model.__all__:
+        assert getattr(agent_sim, name) is getattr(model, name)
+    assert epilim.ModelSpec is model.ModelSpec
+    assert epilim.TabulatedRate is model.TabulatedRate
+    # a solution built without the kernel table still works
+    grid = np.linspace(0.0, 1.0, 3)
+    sol = FluidSolution("SIS", grid, *(np.zeros(3) for _ in range(6)))
+    assert sol.kernels is None
