@@ -391,8 +391,8 @@ def _engine_fclt(cfg, outdir, workers):
     fl = solve_fluid(cfg.spec, grid)
     cov = DriverCovariance(fl)
     rng = np.random.default_rng(cfg.master_seed)
-    drivers = sample_drivers(cov, grid, rng, paths=cfg.reps)
-    fp = solve_fclt_path(drivers, fl, cfg.spec, grid)
+    drivers = sample_drivers(cov, rng, paths=cfg.reps)
+    fp = solve_fclt_path(drivers, fl)
     arts = []
     if "csv" in cfg.formats:
         cols = [grid] + [getattr(fp, c).var(axis=0, ddof=1)

@@ -25,6 +25,9 @@ __all__ = [
 TRIVIAL = "Trivial"
 ENDEMIC = "Endemic"
 
+# largest identity or fixed-point residual that verification passes
+_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
@@ -119,8 +122,7 @@ def _stieltjes_int_sf(d_target: DurationDist, g: DurationDist, grid, k: int,
     return total
 
 
-def verify_equilibrium_identities(point: EquilibriumPoint, laws, grid,
-                                  tol: float = 1e-6) -> dict:
+def verify_equilibrium_identities(point: EquilibriumPoint, laws, grid) -> dict:
     """Check the flow-balance identities and the integral fixed point.
 
     laws is the infectious-period law for SIS, or an independent
@@ -200,6 +202,6 @@ def verify_equilibrium_identities(point: EquilibriumPoint, laws, grid,
             "dt": float(dt),
             "horizon": float(grid[-1]),
         },
-        "tolerance": float(tol),
-        "passed": bool(worst < tol),
+        "tolerance": _TOL,
+        "passed": bool(worst < _TOL),
     }

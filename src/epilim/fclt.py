@@ -1,15 +1,17 @@
 """Gaussian fluctuation limits around the fluid paths.
 
-The driver law (DriverCovariance): every limit driver is a fixed linear
-combination of the base processes of one independent Gaussian block, and
-each block's covariance is built in closed form, on first use and only up
-to the latest node asked for. The one-stage W block reads F as the fluid's
-cdf_kernel holds it, with its atoms added exactly. The two-stage blocks
-read the law of both stages at two times from the fluid's own Stieltjes
-sum of the joint law h (distributions._conv_cdf_values, every time shift
-at once), so the fluid and the driver law share one quadrature. The
-sampler draws each block from one factor of that covariance over every
-node, so the sampled law is this law and the additive identities between
+Every function here reads the model's spec, its grid and its kernel table
+from the FluidSolution it is given; none takes them again. The driver law
+(DriverCovariance): every limit driver is a fixed linear combination of
+the base processes of one independent Gaussian block, and each block's
+covariance is built in closed form over every node of the fluid grid. The
+W block reads F, or the first-stage law g of a two-stage kind, as the
+fluid's cdf_kernel holds it, with its atoms added exactly. The two-stage
+blocks read the law of both stages at two times from the fluid's own
+Stieltjes sum of the joint law h (distributions._conv_cdf_values, every
+time shift at once), so the fluid and the driver law share one
+quadrature. The sampler draws each block from one factor of that same
+build, so the sampled law is this law and the additive identities between
 drivers hold exactly by construction. Also the linear stochastic Volterra
 solve for (Shat, Ehat, Ihat, Rhat), the fluid's renewal system linearized
 on its own kernel table with the drivers as extra forcing, and the
@@ -28,9 +30,9 @@ from .distributions import _conv_cdf_values, _conv_head, grid_step
 from .fluid import (
     ConvKernel,
     FluidSolution,
-    _atom_lag,
     _cumtrapz,
     _equations,
+    cdf_kernel,
     conv_full,
     solve_linear_volterra,
 )
@@ -83,17 +85,20 @@ _TILE = 128
 
 @dataclass
 class FcltPath:
-    """Sampled limit fluctuations and the driver paths that produced them."""
+    """Limit fluctuations on the fluid grid: (n,) arrays for one path, else
+    (paths, n)."""
 
     grid: np.ndarray
-    drivers: dict
     Shat: np.ndarray
     Ehat: np.ndarray
     Ihat: np.ndarray
     Rhat: np.ndarray
-    ihat0: object = 0.0
-    ehat0: object = 0.0
-    seed: object = None
+
+
+def _model_spec(fluid: FluidSolution) -> ModelSpec:
+    if not isinstance(fluid.spec, ModelSpec):  # the ODE and delay solvers keep a dict
+        raise ValueError("need the model spec: this fluid solution keeps none")
+    return fluid.spec
 
 
 class DriverCovariance:
@@ -106,27 +111,21 @@ class DriverCovariance:
     members' residual-stage indicators. Over m nodes a block holds
     (width * m)**2 doubles and takes O(m**2 log m) time to build: the
     two-stage tables are batched FFT convolutions. It is built bitwise
-    symmetric. ``cov`` and ``matrix`` read each block through the
-    coefficient table, from a cache that holds it up to the latest node
-    asked for. ``sample_drivers`` builds each block afresh over every node
-    with the same code, so the sampled law is this law, and factors it in
-    the memory it was built in, without caching it. Cross-block covariances
-    are exactly zero.
+    symmetric, over every node. ``cov`` and ``matrix`` read each block
+    through the coefficient table from one build that they cache.
+    ``sample_drivers`` makes the same build afresh and factors it in the
+    memory it was built in, without caching it, so the sampled law is this
+    law bit for bit. Cross-block covariances are exactly zero.
     """
 
-    def __init__(self, fluid: FluidSolution, spec: ModelSpec | None = None):
-        spec = spec if spec is not None else fluid.spec
-        if not isinstance(spec, ModelSpec):  # the ODE and delay solvers keep a dict
-            raise ValueError("need the model spec (fluid.spec or an explicit one)")
-        if spec.kind != fluid.kind:
-            raise ValueError("spec kind does not match the fluid solution")
-        self.kind = spec.kind
-        self.spec = spec
+    def __init__(self, fluid: FluidSolution):
+        self.spec = _model_spec(fluid)
+        self.kind = self.spec.kind
         self.fluid = fluid
         self.grid = np.asarray(fluid.grid, dtype=float)
         self.dt = grid_step(self.grid)
         self.n = len(self.grid)
-        self.qpath = spec.lam_on_grid(self.grid) * fluid.S * fluid.I
+        self.qpath = self.spec.lam_on_grid(self.grid) * fluid.S * fluid.I
         self._blocks: dict = {}
 
     def _node(self, t) -> int:
@@ -141,31 +140,20 @@ class DriverCovariance:
             raise ValueError(f"driver {x!r} is not defined for {self.kind}")
         return law
 
-    def _base(self, block: str, last: int) -> np.ndarray:
-        """Covariance of the block's base processes over the first nodes, at
-        least up to node last: [a, i, b, j] is Cov(base a at t_i, base b at t_j).
-
-        Its entries up to node m depend on the law up to t_m only, so a block
-        is built only as far as it is asked for, and at least doubles when a
-        later call asks for more.
-        """
+    def _base(self, block: str) -> np.ndarray:
+        """Covariance of the block's base processes: [a, i, b, j] is
+        Cov(base a at t_i, base b at t_j), built once."""
         hit = self._blocks.get(block)
-        if hit is None or hit.shape[1] <= last:
-            size = min(self.n, max(last + 1, 2 * (1 if hit is None else hit.shape[1])))
-            hit = self._blocks[block] = self._build(block, size)
+        if hit is None:
+            hit = self._blocks[block] = self._build(block)
         return hit
 
-    def _build(self, block: str, n: int) -> np.ndarray:
-        """A new array of the block's base covariance on the first n nodes."""
-        return self._w_block(n) if block == "W" else self._pool_block(block, n)
+    def _build(self, block: str) -> np.ndarray:
+        """A new array of the block's base covariance over every node."""
+        return self._w_block() if block == "W" else self._pool_block(block)
 
     def cov(self, x: str, t, y: str, tp) -> float:
-        (bx, cx), (by, cy) = self._law(x), self._law(y)
-        it, ip = self._node(t), self._node(tp)
-        if bx != by:
-            return 0.0
-        base = self._base(bx, max(it, ip))
-        return float(np.array(cx, float) @ base[:, it, :, ip] @ np.array(cy, float))
+        return float(self.matrix([(x, t), (y, tp)])[0, 1])
 
     def matrix(self, pairs) -> np.ndarray:
         """Joint covariance matrix over (driver, time) pairs."""
@@ -176,13 +164,13 @@ class DriverCovariance:
             sel = np.array([i for i, (b, _) in enumerate(laws) if b == block])
             coef = np.array([laws[i][1] for i in sel], dtype=float)
             k = nodes[sel]
-            base = self._base(block, k.max())[:, k][:, :, :, k]
+            base = self._base(block)[:, k][:, :, :, k]
             out[np.ix_(sel, sel)] = np.einsum("pa,apbq,qb->pq", coef, base, coef)
         return np.triu(out) + np.triu(out, 1).T
 
-    def _w_block(self, n: int) -> np.ndarray:
-        """Base covariance of W on the first n nodes, over the levels (MA,
-        both) or (MA, onset, both).
+    def _w_block(self) -> np.ndarray:
+        """Base covariance of W, over the levels (MA, both) or (MA, onset,
+        both).
 
         Level l counts the infections by t that have also passed l stages by
         t. For t_i <= t_j, Cov(level l at t_i, level l' at t_j) is the
@@ -190,19 +178,17 @@ class DriverCovariance:
         stages by t_j - s), for one individual infected at time 0; when
         l >= l' that probability is P(l stages by t_i - s).
         """
-        dt, q = self.dt, self.qpath[:n]
+        dt, q, n = self.dt, self.qpath, self.n
         t = np.arange(n) * dt
-        if self.kind in ("SIS", "SIR"):
-            # F as the fluid's cdf_kernel holds it: a continuous part, plus
-            # atoms on nodes that are added exactly below
-            f = self.spec.f
-            kernels = [ConvKernel(np.asarray(f.cdf_continuous(t), dtype=float),
-                                  tuple((_atom_lag(a, dt), w) for a, w in f.atoms()))]
-        else:
+        # level 1's law (F, or G of a two-stage kind) as the fluid's
+        # cdf_kernel holds it: a continuous part, plus atoms on nodes that
+        # are added exactly below
+        one_stage = self.kind in ("SIS", "SIR")
+        kernels = [cdf_kernel(self.spec.f if one_stage else self.spec.h.g, t)]
+        if not one_stage:
             # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi
-            rows = _conv_cdf_values(self.spec.h, self.grid[:n], n)
-            kernels = [ConvKernel(np.asarray(self.spec.h.g.cdf(t), dtype=float)),
-                       ConvKernel(rows[0].copy())]
+            rows = _conv_cdf_values(self.spec.h, self.grid, n)
+            kernels.append(ConvKernel(rows[0].copy()))
             # [d, i] = int_0^{t_i} q(s) rows[d](t_i - s) ds, product trapezoid
             conv = dt * (_conv_head(rows, q, n) - 0.5 * q[0] * rows - 0.5 * rows[:, :1] * q)
             conv[:, 0] = 0.0  # an integral over an empty interval
@@ -245,12 +231,12 @@ class DriverCovariance:
                     out[y, :, x] = blk.T
         return out
 
-    def _pool_block(self, block: str, n: int) -> np.ndarray:
-        """Base covariance, on the first n nodes, of the initial pool whose
-        mass is spec.<block>: one base per stage of its law in _STAGES."""
+    def _pool_block(self, block: str) -> np.ndarray:
+        """Base covariance of the initial pool whose mass is spec.<block>:
+        one base per stage of its law in _STAGES."""
         law, width = next((getattr(self.spec, law), len(codes))
                           for pool, law, codes in _STAGES[self.kind] if pool == block)
-        mass = getattr(self.spec, block)
+        mass, n = getattr(self.spec, block), self.n
         if mass <= 0:
             return np.zeros((width, n, width, n))
         t = np.arange(n) * self.dt
@@ -263,7 +249,7 @@ class DriverCovariance:
         # in stage 1 (e) and in stage 2 (i) of the joint law h0
         g0sf = np.asarray(law.g.sf(t), dtype=float)
         # tails[d, k] = P(stage 1 over by t_k, stage 2 still running at t_{k+d})
-        tails = law.g.cdf(self.grid[:n]) - _conv_cdf_values(law, self.grid[:n], n)
+        tails = law.g.cdf(self.grid) - _conv_cdf_values(law, self.grid, n)
         psi0 = tails[0]
         out = np.empty((2, n, 2, n))
         ee, ei, ii = out[0, :, 0], out[0, :, 1], out[1, :, 1]
@@ -366,25 +352,23 @@ def _first_equal_row(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_drivers(cov: DriverCovariance, grid, rng, paths: int = 1) -> dict:
-    """Sample joint driver paths on the covariance grid.
+def sample_drivers(cov: DriverCovariance, rng, paths: int = 1) -> dict:
+    """Sample joint driver paths on the fluid grid, cov.grid.
 
-    Each independent block of ``cov`` is built afresh over every grid node
-    and factored in the memory it was built in, and all paths of its base
-    processes come from one GEMM of standard normals against that factor.
-    The block is freed before the next one is built, so sampling holds one
-    block plus the build's transients. Every driver is then its fixed
-    combination of its block's base paths, so the additive identities
-    (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold exactly on each path.
-    W drivers are exactly 0 at t = 0. Returns {driver id: (paths, len(grid))}.
+    Each independent block of ``cov`` is built afresh, bitwise as
+    ``cov.matrix`` reads it, and factored in the memory it was built in;
+    all paths of its base processes come from one GEMM of standard normals
+    against that factor. The block is freed before the next one is built,
+    so sampling holds one block plus the build's transients. Every driver
+    is then its fixed combination of its block's base paths, so the
+    additive identities (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold
+    exactly on each path. W drivers are exactly 0 at t = 0. Returns
+    {driver id: (paths, cov.n)}.
     """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) != cov.n or np.max(np.abs(grid - cov.grid)) > 1e-9:
-        raise ValueError("sampling grid must match the covariance grid")
     law, n = _LAW[cov.kind], cov.n
     out = {}
     for block in dict.fromkeys(b for b, _ in law.values()):
-        flat = cov._build(block, n)
+        flat = cov._build(block)
         width = flat.shape[0]
         flat = flat.reshape(width * n, width * n)
         # Equal rows are one random variable: copying its column keeps it
@@ -427,25 +411,20 @@ _FORCED = {
 }
 
 
-def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
-                    ihat0=0.0, ehat0=0.0, seed=None) -> FcltPath:
+def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> FcltPath:
     """Solve the limit fluctuation equations for sampled driver paths.
 
     The solve is the fluid system linearized: the renewal terms of the
-    fluid's equations on its own kernel table (so spec must equal fluid.spec),
-    with initial masses (0, ihat0, ehat0), the drivers added to the forcings,
-    and the rate lam S I replaced by lam (Sbar Ihat + Ibar Shat). drivers
-    maps driver ids to (paths, n) or (n,) arrays on the grid; only the ids in
-    the kind's forcings are read. ihat0/ehat0 are the initial fluctuation
-    values (scalars or per-path).
+    fluid's equations on its own spec, grid and kernel table, with initial
+    masses (0, ihat0, ehat0), the drivers added to the forcings, and the
+    rate lam S I replaced by lam (Sbar Ihat + Ibar Shat). drivers maps
+    driver ids to (paths, n) or (n,) arrays on the fluid grid; only the ids
+    in the kind's forcings are read. ihat0/ehat0 are the initial
+    fluctuation values (scalars or per-path).
     """
-    grid = np.asarray(grid, dtype=float)
+    spec = _model_spec(fluid)
+    grid = fluid.grid
     dt = grid_step(grid)
-    n = len(grid)
-    if len(fluid.grid) != n or np.max(np.abs(fluid.grid - grid)) > 1e-9:
-        raise ValueError("drivers, fluid and grid must share the tabulation grid")
-    if spec != fluid.spec:  # the solve linearizes around this fluid
-        raise ValueError("spec (kind, rate, masses or laws) does not match the fluid solution's")
     kind = spec.kind
     forced = _FORCED[kind]
     flat = True
@@ -488,32 +467,23 @@ def solve_fclt_path(drivers, fluid: FluidSolution, spec: ModelSpec, grid,
     out = [hats[c] if c in hats else np.zeros_like(hats["I"]) for c in "SEIR"]
     if flat:
         out = [x[0] for x in out]
-        ds = {k: v[0] for k, v in ds.items()}
-    return FcltPath(grid, ds, *out, _maybe_scalar(i0v), _maybe_scalar(e0v), seed)
+    return FcltPath(grid, *out)
 
 
-def _maybe_scalar(arr):
-    flat = np.asarray(arr).ravel()
-    return float(flat[0]) if flat.size == 1 else flat
-
-
-def sis_sde_path(lam, mu, fluid: FluidSolution, ihat0, grid, rng,
+def sis_sde_path(lam, mu, fluid: FluidSolution, ihat0, rng,
                  paths: int = 1, noise: bool = True):
     """Euler-Maruyama for the Markovian SIS fluctuation SDE.
 
     The fluctuation solves dX = (lam (1 - 2 Ibar) - mu) X dt plus the
-    time-changed Brownian term of variance (lam (1-Ibar) Ibar + mu Ibar) dt.
-    Returns (len(grid),) for a single path, else (paths, len(grid)).
+    time-changed Brownian term of variance (lam (1-Ibar) Ibar + mu Ibar) dt,
+    on the fluid grid. Returns (n,) for a single path, else (paths, n).
     """
-    grid = np.asarray(grid, dtype=float)
-    dt = grid_step(grid)
-    n = len(grid)
+    dt = grid_step(fluid.grid)
     lam, mu = float(lam), float(mu)
     if lam < 0 or mu <= 0:
         raise ValueError("need lam >= 0 and mu > 0")
-    if len(fluid.grid) != n or np.max(np.abs(fluid.grid - grid)) > 1e-9:
-        raise ValueError("fluid must be solved on the sampling grid")
     ibar = fluid.I
+    n = len(ibar)
     out = np.empty((paths, n))
     out[:, 0] = ihat0
     for k in range(n - 1):

@@ -168,9 +168,9 @@ def test_fluctuation_variance_matches_limit(big_ensemble):
     fl = solve_fluid(spec, grid)
     hats = np.stack([diffusion_scale(p, fl).I for p in paths])
 
-    drv = sample_drivers(DriverCovariance(fl), grid,
+    drv = sample_drivers(DriverCovariance(fl),
                          np.random.default_rng(27182), paths=5000)
-    limit = solve_fclt_path(drv, fl, spec, grid)
+    limit = solve_fclt_path(drv, fl)
 
     rels = {}
     for t in (1.0, 2.0):
@@ -196,10 +196,10 @@ def test_sis_variance_two_representations():
     grid = uniform_grid(5.0, 0.005)
     fl = solve_fluid(spec, grid)
 
-    drv = sample_drivers(DriverCovariance(fl), grid,
+    drv = sample_drivers(DriverCovariance(fl),
                          np.random.default_rng(7), paths=5000)
-    volterra = solve_fclt_path(drv, fl, spec, grid)
-    sde = sis_sde_path(2.0, 1.0, fl, 0.0, grid, np.random.default_rng(8),
+    volterra = solve_fclt_path(drv, fl)
+    sde = sis_sde_path(2.0, 1.0, fl, 0.0, np.random.default_rng(8),
                        paths=5000)
 
     gaps = {}

@@ -27,6 +27,7 @@ from epilim import (
 )
 from epilim.distributions import _conv_cdf_values
 from epilim.fclt import (
+    _LAW,
     DRIVER_IDS,
     DriverCovariance,
     _chol_psd,
@@ -167,6 +168,15 @@ def test_cumulative_driver_variance_equals_fluid_cumulative():
         cov = DriverCovariance(fl)
         got = np.array([cov.cov("R1", t, "R1", t) for t in grid])
         assert np.max(np.abs(got - (fl.R - spec.i0 * spec.f0.cdf(grid)))) < 1e-12, f
+    # and for an atom in the first stage: L1 against L less the e0 pool
+    spec = ModelSpec(kind="SEIR", lam=2.0, i0=0.03, e0=0.04,
+                     h=JointDurationDist(g=Deterministic(0.5), f=Exponential(1.0)))
+    for dt in (0.1, 0.05, 0.025):
+        grid = uniform_grid(4.0, dt)
+        fl = solve_fluid(spec, grid)
+        cov = DriverCovariance(fl)
+        got = np.array([cov.cov("L1", t, "L1", t) for t in grid])
+        assert np.max(np.abs(got - (fl.L - spec.e0 * spec.h0.g.cdf(grid)))) < 1e-12, dt
     # SIS at its endemic state, q = lam S I = 1/2 throughout: I1 counts the
     # infections of the last time unit, so its variance is 1/2 once t >= 1
     spec = ModelSpec(kind="SIS", lam=2.0, i0=0.5, f=Deterministic(1.0))
@@ -238,9 +248,6 @@ def test_cross_block_independence_and_validation():
         cov.cov("MA", 0.5, "I0", 0.5)  # SEIR has no plain I0
     with pytest.raises(ValueError, match="node"):
         cov.cov("MA", 0.5, "MA", 0.517)
-    sir = ModelSpec(kind="SIR", lam=1.0, i0=0.05, f=Exponential(1.0))
-    with pytest.raises(ValueError, match="kind"):
-        DriverCovariance(fl, spec=sir)
     bare = solve_fluid(spec, grid)
     bare.spec = None
     with pytest.raises(ValueError, match="spec"):
@@ -325,6 +332,25 @@ def test_joint_covariance_matrix_is_psd():
         assert np.linalg.eigvalsh(mat)[0] >= -1e-8
 
 
+@pytest.mark.parametrize("setup", [_seir_setup, _sirs_setup])
+def test_queried_law_is_the_sampled_law(setup):
+    # cov and matrix read each block bitwise as the sampler builds and
+    # factors it, whichever nodes the queries ask for first
+    _, fl, grid = setup()
+    cov = DriverCovariance(fl)
+    law = _LAW[fl.kind]
+    for block in dict.fromkeys(b for b, _ in law.values()):
+        ids = [d for d, (b, _) in law.items() if b == block]
+        cov.cov(ids[0], grid[1], ids[0], grid[1])
+        coef = np.array([law[d][1] for d in ids], dtype=float)
+        ref = np.einsum("da,aibj,eb->diej", coef, cov._build(block), coef)
+        for m in (2, 5, 17, len(grid)):
+            mat = cov.matrix([(d, t) for d in ids for t in grid[:m]])
+            want = ref[:, :m, :, :m].reshape(mat.shape)
+            np.testing.assert_array_equal(mat, np.triu(want) + np.triu(want, 1).T,
+                                          err_msg=f"{block} over {m} nodes")
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -381,7 +407,7 @@ def test_sampler_holds_one_block():
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        sample_drivers(cov, grid, np.random.default_rng(0), paths=16)
+        sample_drivers(cov, np.random.default_rng(0), paths=16)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not was_tracing:
@@ -392,13 +418,13 @@ def test_sampler_holds_one_block():
 def test_sampled_driver_identities_hold_pathwise():
     rng = np.random.default_rng(11)
     spec, fl, grid = _sir_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, rng, paths=200)
+    dr = sample_drivers(DriverCovariance(fl), rng, paths=200)
     assert np.max(np.abs(dr["MA"] - dr["I1"] - dr["R1"])) < 1e-12
     assert np.max(np.abs(dr["I0"] + dr["R0"])) == 0.0
     assert all(np.all(dr[d][:, 0] == 0.0) for d in ("MA", "I1", "R1"))
 
     spec, fl, grid = _seir_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, rng, paths=200)
+    dr = sample_drivers(DriverCovariance(fl), rng, paths=200)
     assert np.max(np.abs(dr["MA"] - dr["E1"] - dr["L1"])) < 1e-12
     assert np.max(np.abs(dr["L1"] - dr["I1"] - dr["R1"])) < 1e-12
     assert np.max(np.abs(dr["L0"] + dr["E0"])) == 0.0
@@ -425,7 +451,7 @@ def test_sampled_covariance_matches_analytic():
     for setup, reps, probes in cases:
         _, fl, grid = setup()
         cov = DriverCovariance(fl)
-        dr = sample_drivers(cov, grid, rng, paths=reps)
+        dr = sample_drivers(cov, rng, paths=reps)
         nodes = {t: int(round(t / cov.dt)) for t, _ in probes}
         nodes.update({tp: int(round(tp / cov.dt)) for _, tp in probes})
         for d in DRIVER_IDS[fl.kind]:
@@ -443,7 +469,7 @@ def test_sampled_cross_driver_covariance():
     _, fl, grid = _seir_setup()
     cov = DriverCovariance(fl)
     reps = 5000
-    dr = sample_drivers(cov, grid, rng, paths=reps)
+    dr = sample_drivers(cov, rng, paths=reps)
     checks = [("E1", 0.5, "I1", 1.0), ("I1", 1.0, "R1", 2.0), ("MA", 0.5, "R1", 2.0),
               ("E0", 0.5, "I02", 1.0), ("I01", 0.5, "R01", 1.5), ("E0", 0.3, "R02", 1.2)]
     for x, t, y, tp in checks:
@@ -464,7 +490,7 @@ def test_degenerate_residual_blocks():
     cov = DriverCovariance(fl)
     assert cov.cov("I0", 0.6, "I0", 0.6) == 0.0
     assert cov.cov("I0", 0.7, "I0", 0.7) == 0.0
-    dr = sample_drivers(cov, grid, np.random.default_rng(3), paths=2000)
+    dr = sample_drivers(cov, np.random.default_rng(3), paths=2000)
     assert np.max(np.abs(dr["I0"])) == 0.0
 
     # a flat cdf segment repeats survival values and the block goes
@@ -475,7 +501,7 @@ def test_degenerate_residual_blocks():
     cov = DriverCovariance(fl)
     assert cov.cov("I0", 0.4, "I0", 0.4) == cov.cov("I0", 0.8, "I0", 0.8)
     reps = 4000
-    dr = sample_drivers(cov, grid, np.random.default_rng(3), paths=reps)
+    dr = sample_drivers(cov, np.random.default_rng(3), paths=reps)
     i0p = dr["I0"]
     # no recoveries inside the flat segment, so the paths stay put there
     seg = i0p[:, 4:9]
@@ -484,13 +510,6 @@ def test_degenerate_residual_blocks():
     assert ana == pytest.approx(0.2 * 0.4 * 0.6, abs=1e-12)
     emp = i0p[:, 5].var(ddof=1)
     assert abs(emp - ana) <= 3.0 * _var_se(ana, reps)
-
-
-def test_sample_grid_must_match():
-    _, fl, grid = _sir_setup()
-    cov = DriverCovariance(fl)
-    with pytest.raises(ValueError, match="grid"):
-        sample_drivers(cov, uniform_grid(2.0, 0.1), np.random.default_rng(0))
 
 
 # Sampler runs whose every draw is fixed: SIS with an i0 pool, SEIR with e0
@@ -523,9 +542,9 @@ def test_sampled_stream_is_pinned(name):
     spec, fl, grid, seed = _pinned_sampler_runs()[name]
     cov = DriverCovariance(fl)
     if name == "sir_deterministic":
-        w = cov._build("W", cov.n).reshape(2 * cov.n, -1)
+        w = cov._build("W").reshape(2 * cov.n, -1)
         assert _chol_psd(w, "W").shape[1] < 2 * cov.n
-    dr = sample_drivers(cov, grid, np.random.default_rng(seed), paths=5)
+    dr = sample_drivers(cov, np.random.default_rng(seed), paths=5)
     h = hashlib.sha256()
     for d in DRIVER_IDS[spec.kind]:
         h.update(d.encode())
@@ -542,7 +561,7 @@ def _zero_drivers(kind, n):
 
 def test_solve_zero_forcing_gives_zero_paths():
     spec, fl, grid = _sir_setup()
-    path = solve_fclt_path(_zero_drivers("SIR", len(grid)), fl, spec, grid)
+    path = solve_fclt_path(_zero_drivers("SIR", len(grid)), fl)
     for arr in (path.Shat, path.Ihat, path.Rhat):
         assert np.max(np.abs(arr)) == 0.0
     assert path.Ihat.shape == grid.shape
@@ -553,7 +572,7 @@ def test_solve_initial_decay_without_contacts():
     spec = ModelSpec(kind="SIR", lam=0.0, i0=0.3, f=Exponential(1.0),
                      f0=Uniform(0.0, 2.0))
     fl = solve_fluid(spec, grid)
-    path = solve_fclt_path(_zero_drivers("SIR", len(grid)), fl, spec, grid, ihat0=1.0)
+    path = solve_fclt_path(_zero_drivers("SIR", len(grid)), fl, ihat0=1.0)
     assert np.max(np.abs(path.Ihat - spec.f0.sf(grid))) < 1e-12
     assert np.max(np.abs(path.Shat + 1.0)) < 1e-12
     assert np.max(np.abs(path.Rhat - spec.f0.cdf(grid))) < 1e-12
@@ -562,25 +581,25 @@ def test_solve_initial_decay_without_contacts():
 def test_solve_sum_identities_on_sampled_paths():
     rng = np.random.default_rng(5)
     spec, fl, grid = _sir_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, rng, paths=50)
-    path = solve_fclt_path(dr, fl, spec, grid, ihat0=0.2)
+    dr = sample_drivers(DriverCovariance(fl), rng, paths=50)
+    path = solve_fclt_path(dr, fl, ihat0=0.2)
     assert np.max(np.abs(path.Shat + path.Ihat + path.Rhat)) < 1e-10
 
     spec, fl, grid = _seir_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, rng, paths=50)
-    path = solve_fclt_path(dr, fl, spec, grid, ihat0=0.1, ehat0=-0.1)
+    dr = sample_drivers(DriverCovariance(fl), rng, paths=50)
+    path = solve_fclt_path(dr, fl, ihat0=0.1, ehat0=-0.1)
     assert np.max(np.abs(path.Shat + path.Ehat + path.Ihat + path.Rhat)) < 1e-10
 
     spec, fl, grid = _sirs_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, rng, paths=50)
-    path = solve_fclt_path(dr, fl, spec, grid)
+    dr = sample_drivers(DriverCovariance(fl), rng, paths=50)
+    path = solve_fclt_path(dr, fl)
     assert np.max(np.abs(path.Shat + path.Ihat + path.Rhat)) < 1e-12
 
     spec, fl, grid = _sir_setup(lam=0.9)
     sis = ModelSpec(kind="SIS", lam=0.9, i0=0.05, f=Exponential(1.0))
     fls = solve_fluid(sis, grid)
-    dr = sample_drivers(DriverCovariance(fls), grid, rng, paths=50)
-    path = solve_fclt_path(dr, fls, sis, grid)
+    dr = sample_drivers(DriverCovariance(fls), rng, paths=50)
+    path = solve_fclt_path(dr, fls)
     assert np.max(np.abs(path.Shat + path.Ihat)) == 0.0
 
 
@@ -590,20 +609,16 @@ def test_solve_validation():
     missing = dict(dr)
     del missing["R1"]
     with pytest.raises(ValueError, match="R1"):
-        solve_fclt_path(missing, fl, spec, grid)
-    with pytest.raises(ValueError, match="grid"):
-        solve_fclt_path(dr, fl, spec, uniform_grid(2.0, 0.1))
+        solve_fclt_path(missing, fl)
     sespec, sefl, segrid = _seir_setup()
-    with pytest.raises(ValueError, match="kind"):
-        solve_fclt_path(dr, sefl, spec, segrid)
     # initial infectious fluctuation without a residual law
     h = JointDurationDist(g=Uniform(0.2, 1.0), f=LogNormal(-0.3, 0.4))
     noi = ModelSpec(kind="SEIR", lam=2.0, i0=0.0, e0=0.04, h=h)
     flni = solve_fluid(noi, segrid)
     zd = _zero_drivers("SEIR", len(segrid))
     with pytest.raises(ValueError, match="residual"):
-        solve_fclt_path(zd, flni, noi, segrid, ihat0=1.0)
-    out = solve_fclt_path(zd, flni, noi, segrid, ehat0=1.0)  # fine without f0
+        solve_fclt_path(zd, flni, ihat0=1.0)
+    out = solve_fclt_path(zd, flni, ehat0=1.0)  # fine without f0
     assert np.max(np.abs(out.Ehat + out.Ihat + out.Rhat + out.Shat)) < 1e-10
 
 
@@ -623,34 +638,18 @@ def test_fclt_run_tabulates_the_kernels_once(setup, monkeypatch):
                 and getattr(mod, "tabulate_kernels", None) is tabulate_kernels):
             monkeypatch.setattr(mod, "tabulate_kernels", counted)
     spec, fl, grid = setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, np.random.default_rng(3), paths=4)
-    solve_fclt_path(dr, fl, spec, grid, ihat0=0.1)
+    dr = sample_drivers(DriverCovariance(fl), np.random.default_rng(3), paths=4)
+    solve_fclt_path(dr, fl, ihat0=0.1)
     assert len(calls) == 1
-
-
-def test_solve_needs_the_fluids_own_spec():
-    # a spec of the same kind with other laws would linearize around a
-    # fluid that is not its own
-    spec, fl, grid = _sir_setup()
-    dr = _zero_drivers("SIR", len(grid))
-    with pytest.raises(ValueError, match="spec"):
-        solve_fclt_path(dr, fl, ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Gamma(2.0, 2.0)), grid)
-    equal = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))  # a new, equal spec
-    assert np.max(np.abs(solve_fclt_path(dr, fl, equal, grid, ihat0=1.0).Ihat)) > 0.0
-    spec, fl, grid = _sirs_setup()
-    other_h0 = ModelSpec(kind="SIRS", lam=2.5, i0=0.1, r0=0.15, h=spec.h,
-                         h0=JointDurationDist(g=Uniform(0.0, 2.0), f=spec.h.f))
-    with pytest.raises(ValueError, match="spec"):
-        solve_fclt_path(_zero_drivers("SIRS", len(grid)), fl, other_h0, grid)
 
 
 def test_seir_solve_reads_no_onset_drivers():
     # L0 and L1 enter no SEIR forcing: a solve without them gives the same paths
     spec, fl, grid = _seir_setup()
-    dr = sample_drivers(DriverCovariance(fl), grid, np.random.default_rng(11), paths=20)
-    full = solve_fclt_path(dr, fl, spec, grid, ihat0=0.2, ehat0=-0.1)
+    dr = sample_drivers(DriverCovariance(fl), np.random.default_rng(11), paths=20)
+    full = solve_fclt_path(dr, fl, ihat0=0.2, ehat0=-0.1)
     fewer = {d: v for d, v in dr.items() if d not in ("L0", "L1")}
-    part = solve_fclt_path(fewer, fl, spec, grid, ihat0=0.2, ehat0=-0.1)
+    part = solve_fclt_path(fewer, fl, ihat0=0.2, ehat0=-0.1)
     for c in ("Shat", "Ehat", "Ihat", "Rhat"):
         np.testing.assert_array_equal(getattr(part, c), getattr(full, c))
 
@@ -696,7 +695,7 @@ def test_solve_is_the_linearized_fluid(case):
     spec = ModelSpec(**model)
     fl = solve_fluid(spec, grid)
     hat0 = {"ihat0" if mass == "i0" else "ehat0": 1.0}
-    path = solve_fclt_path(_zero_drivers(spec.kind, len(grid)), fl, spec, grid, **hat0)
+    path = solve_fclt_path(_zero_drivers(spec.kind, len(grid)), fl, **hat0)
     for c in "SEIR":
         slope = (getattr(up, c) - getattr(down, c)) / (2.0 * eps)
         assert np.max(np.abs(getattr(path, c + "hat") - slope)) < 1e-8, c
@@ -712,9 +711,9 @@ def test_solved_path_variance_matches_sde():
     cov = DriverCovariance(fl)
     rng = np.random.default_rng(42)
     reps = 3000
-    dr = sample_drivers(cov, grid, rng, paths=reps)
-    volt = solve_fclt_path(dr, fl, spec, grid).Ihat
-    sde = sis_sde_path(lam, mu, fl, 0.0, grid, rng, paths=reps)
+    dr = sample_drivers(cov, rng, paths=reps)
+    volt = solve_fclt_path(dr, fl).Ihat
+    sde = sis_sde_path(lam, mu, fl, 0.0, rng, paths=reps)
     k = int(round(1.0 / 0.02))
     v1, v2 = volt[:, k].var(ddof=1), sde[:, k].var(ddof=1)
     band = 3.0 * np.sqrt(_var_se(v1, reps) ** 2 + _var_se(v2, reps) ** 2)
@@ -729,7 +728,7 @@ def test_sde_variance_without_contacts():
     fl = solve_fluid(spec, grid)
     rng = np.random.default_rng(9)
     reps = 5000
-    paths = sis_sde_path(0.0, mu, fl, 0.0, grid, rng, paths=reps)
+    paths = sis_sde_path(0.0, mu, fl, 0.0, rng, paths=reps)
     for t in (0.5, 1.0, 2.0):
         k = int(round(t / 0.005))
         want = i0 * (np.exp(-mu * t) - np.exp(-2.0 * mu * t))
@@ -742,11 +741,11 @@ def test_sde_drift_only_matches_linear_ode():
     grid = uniform_grid(2.0, 0.001)
     spec = ModelSpec(kind="SIS", lam=lam, i0=0.3, f=Exponential(mu))
     fl = solve_fluid(spec, grid)
-    path = sis_sde_path(lam, mu, fl, 1.0, grid, np.random.default_rng(0), noise=False)
+    path = sis_sde_path(lam, mu, fl, 1.0, np.random.default_rng(0), noise=False)
     # exact solution of x' = (lam(1 - 2 Ibar) - mu) x by fine quadrature
     rate = lam * (1.0 - 2.0 * fl.I) - mu
     cumr = np.concatenate(([0.0], np.cumsum(0.001 * 0.5 * (rate[1:] + rate[:-1]))))
     exact = np.exp(cumr)
     assert np.max(np.abs(path - exact)) < 5e-3
     with pytest.raises(ValueError, match="mu"):
-        sis_sde_path(1.0, 0.0, fl, 0.0, grid, np.random.default_rng(0))
+        sis_sde_path(1.0, 0.0, fl, 0.0, np.random.default_rng(0))
