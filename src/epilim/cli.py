@@ -29,21 +29,12 @@ import scipy
 
 from . import __version__
 from .agent_sim import simulate_ensemble
-from .distributions import (
-    Exponential,
-    JointDurationDist,
-    dist_from_record,
-    equilibrium_dist,
-)
-from .equilibria import (
-    sirs_equilibrium,
-    sis_equilibrium,
-    verify_equilibrium_identities,
-)
+from .distributions import JointDurationDist, dist_from_record, equilibrium_dist
+from .equilibria import verify_equilibrium_identities
 from .fclt import DriverCovariance, sample_drivers, solve_fclt_path
 from .fluid import solve_fluid, solve_markovian_ode, uniform_grid
 from .harness import convergence_rate, empirical_cov, fluid_scale
-from .model import KINDS, ModelSpec, TabulatedRate
+from .model import ModelSpec, TabulatedRate
 
 ENGINES = ("simulate", "fluid", "fclt", "verify", "equilibrium", "rate")
 
@@ -411,36 +402,11 @@ def _engine_fclt(cfg, outdir, workers):
     return rep
 
 
-def _exp_rate(d, path):
-    if not isinstance(d, Exponential):
-        raise ConfigError(
-            f"the verify engine needs an exponential law at '{path}'")
-    return d.rate
-
-
 def _engine_verify(cfg, outdir, workers):
-    spec = cfg.spec
-    lam = spec.lam_constant()
-    if lam is None:
-        raise ConfigError("the verify engine needs a constant contact rate")
-    if spec.kind in ("SIS", "SIR"):
-        gamma, mu = 0.0, _exp_rate(spec.f, "model.f")
-        _exp_rate(spec.f0, "model.f0")
-    else:
-        if not spec.h.independent:
-            raise ConfigError(
-                "the verify engine needs independent period laws")
-        gamma = _exp_rate(spec.h.g, "model.h.g")
-        mu = _exp_rate(spec.h.f, "model.h.f")
-    grid = cfg.grid()
+    spec, grid = cfg.spec, cfg.grid()
+    ode = solve_markovian_ode(spec, grid)  # refuses a model the ODE does not describe
     fl = solve_fluid(spec, grid)
-    ode = solve_markovian_ode(spec.kind, lam, gamma, mu,
-                              {"i0": spec.i0, "e0": spec.e0, "r0": spec.r0},
-                              grid)
-    err = 0.0
-    for c in ("S", "E", "I", "R"):
-        err = max(err, float(np.max(np.abs(getattr(fl, c)
-                                           - getattr(ode, c)))))
+    err = max(float(np.max(np.abs(getattr(fl, c) - getattr(ode, c)))) for c in "SEIR")
     passed = bool(err < VERIFY_TOL)
     rep = {"case": "renewal fluid vs Markovian ODE",
            "kind": spec.kind, "max_sup_error": err,
@@ -453,24 +419,7 @@ def _engine_verify(cfg, outdir, workers):
 
 
 def _engine_equilibrium(cfg, outdir, workers):
-    spec = cfg.spec
-    lam = spec.lam_constant()
-    if lam is None:
-        raise ConfigError(
-            "the equilibrium engine needs a constant contact rate")
-    if spec.kind == "SIS":
-        point = sis_equilibrium(lam, 1.0 / spec.f.mean())
-        laws = spec.f
-    elif spec.kind == "SIRS":
-        if not spec.h.independent:
-            raise ConfigError(
-                "the equilibrium engine needs independent period laws")
-        point = sirs_equilibrium(lam, 1.0 / spec.h.g.mean(),
-                                 1.0 / spec.h.f.mean())
-        laws = spec.h
-    else:
-        raise ConfigError("the equilibrium engine covers SIS and SIRS")
-    report = verify_equilibrium_identities(point, laws, cfg.grid())
+    report = verify_equilibrium_identities(cfg.spec, cfg.grid())
     arts = []
     if "json" in cfg.formats:
         _write_json(os.path.join(outdir, "equilibrium.json"), report)

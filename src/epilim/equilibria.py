@@ -2,9 +2,9 @@
 
 The closed forms depend on the period laws only through their means
 (reciprocal rates gamma for the infectious period and mu for the immune
-period). The verifier plugs the constant equilibrium paths back into the
-integral fixed-point equations under stationary-excess initial laws and
-reports the quadrature residuals.
+period). The verifier takes the ModelSpec, plugs its constant equilibrium
+paths back into the integral fixed-point equations under stationary-excess
+initial laws and reports the quadrature residuals.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DurationDist, JointDurationDist, grid_step
+from .distributions import DurationDist, grid_step
+from .model import ModelSpec
 
 __all__ = [
     "EquilibriumPoint",
@@ -101,15 +102,6 @@ def sirs_equilibrium(lam: float, gamma: float, mu: float) -> EquilibriumPoint:
                             note="lam <= gamma: only the disease-free point")
 
 
-def _check_rate(rate: float, d: DurationDist, label: str) -> None:
-    implied = 1.0 / d.mean()
-    if abs(implied - rate) > 1e-6 * max(rate, 1.0):
-        raise ValueError(
-            f"{label} law has mean {d.mean():.6g}, inconsistent with "
-            f"rate {rate:.6g} of the equilibrium point"
-        )
-
-
 def _stieltjes_int_sf(d_target: DurationDist, g: DurationDist, grid, k: int,
                       dgc, mids) -> float:
     """int over [0, t_k] of (int_0^(t_k - v) sf_target) dG(v), midpoint rule
@@ -122,40 +114,44 @@ def _stieltjes_int_sf(d_target: DurationDist, g: DurationDist, grid, k: int,
     return total
 
 
-def verify_equilibrium_identities(point: EquilibriumPoint, laws, grid) -> dict:
-    """Check the flow-balance identities and the integral fixed point.
+def verify_equilibrium_identities(spec: ModelSpec, grid) -> dict:
+    """Check the flow-balance identities and the integral fixed point of
+    spec's equilibrium.
 
-    laws is the infectious-period law for SIS, or an independent
-    JointDurationDist (infectious g, immune f) for SIRS. The constant
-    equilibrium paths are substituted into the right-hand sides of the
-    fluid equations under stationary-excess initial laws and the residuals
-    are evaluated at 50 probe nodes of the grid. Quadrature is second
-    order for atomless laws.
+    spec is SIS, or SIRS with an independent h (infectious g, immune f),
+    at a constant rate; its initial masses and laws are not read. The
+    constant equilibrium paths are substituted into the right-hand sides of
+    the fluid equations under stationary-excess initial laws and the
+    residuals are evaluated at 50 probe nodes of the grid. Quadrature is
+    second order for atomless laws.
     """
+    lam = spec.lam_constant()
+    if lam is None:
+        raise ValueError("equilibrium verification needs a constant contact rate")
+    if spec.kind == "SIS":
+        point = sis_equilibrium(lam, 1.0 / spec.f.mean())
+    elif spec.kind == "SIRS" and spec.h.independent:
+        point = sirs_equilibrium(lam, 1.0 / spec.h.g.mean(), 1.0 / spec.h.f.mean())
+    else:
+        raise ValueError(f"no equilibrium verification for kind {spec.kind!r} with these "
+                         "laws: it covers SIS, and SIRS with independent period laws")
     grid = np.asarray(grid, dtype=float)
     dt = grid_step(grid)
     n = len(grid)
     probes = np.unique(np.linspace(1, n - 1, min(50, n - 1)).round().astype(int))
-    lam, sstar, istar, rstar = point.lam, point.S, point.I, point.R
+    sstar, istar, rstar = point.S, point.I, point.R
     qstar = lam * sstar * istar
 
     if point.kind == "SIS":
-        if not isinstance(laws, DurationDist):
-            raise ValueError("SIS verification takes the infectious-period law")
-        _check_rate(point.mu, laws, "infectious")
-        intf = np.asarray(laws.int_sf(grid), dtype=float)
+        intf = np.asarray(spec.f.int_sf(grid), dtype=float)
         # I(t) = I* (1 - F_e(t)) + lam S* I* int_0^t F^c
         rhs_i = istar * (1.0 - point.mu * intf[probes]) + qstar * intf[probes]
         res1 = abs(qstar - point.mu * istar)
         res2 = 0.0
         max_i = float(np.max(np.abs(rhs_i - istar)))
         max_r = 0.0
-    elif point.kind == "SIRS":
-        if not isinstance(laws, JointDurationDist) or not laws.independent:
-            raise ValueError("SIRS verification takes independent joint laws")
-        g, f = laws.g, laws.f
-        _check_rate(point.gamma, g, "infectious")
-        _check_rate(point.mu, f, "immune")
+    else:
+        g, f = spec.h.g, spec.h.f
         gam, mu = point.gamma, point.mu
         intg = np.asarray(g.int_sf(grid), dtype=float)
         intf = np.asarray(f.int_sf(grid), dtype=float)
@@ -184,8 +180,6 @@ def verify_equilibrium_identities(point: EquilibriumPoint, laws, grid) -> dict:
             max_r = max(max_r, abs(rhs_r - rstar))
         res1 = abs(qstar - gam * istar)
         res2 = abs(mu * rstar - gam * istar)
-    else:
-        raise ValueError(f"no equilibrium verification for kind {point.kind!r}")
 
     worst = max(res1, res2, max_i, max_r)
     return {

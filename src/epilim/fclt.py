@@ -1,7 +1,8 @@
 """Gaussian fluctuation limits around the fluid paths.
 
 Every function here reads the model's spec, its grid and its kernel table
-from the FluidSolution it is given; none takes them again. The driver law
+from the FluidSolution it is given; none takes them again. A two-stage
+kind needs the kernel table, which only solve_fluid keeps. The driver law
 (DriverCovariance): every limit driver is a fixed linear combination of
 the base processes of one independent Gaussian block, and each block's
 covariance is built in closed form over every node of the fluid grid. The
@@ -10,12 +11,13 @@ fluid's cdf_kernel holds it, with its atoms added exactly. The two-stage
 blocks read the law of both stages at two times from the fluid's own
 Stieltjes sum of the joint law h (distributions._conv_cdf_values, every
 time shift at once), so the fluid and the driver law share one
-quadrature. The sampler draws each block from one factor of that same
-build, so the sampled law is this law and the additive identities between
-drivers hold exactly by construction. Also the linear stochastic Volterra
+quadrature; the jumps that an atom of g puts into the two-time table are
+read by the exact atom rule. The sampler draws each block from one factor
+of that same build, so the sampled law is this law and the additive
+identities between drivers hold exactly by construction. Also the linear stochastic Volterra
 solve for (Shat, Ehat, Ihat, Rhat), the fluid's renewal system linearized
 on its own kernel table with the drivers as extra forcing, and the
-Markovian SIS SDE cross-check.
+Markovian SIS SDE cross-check, whose rates come from the spec.
 """
 
 from __future__ import annotations
@@ -26,15 +28,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpstrf
 
-from .distributions import _conv_cdf_values, _conv_head, grid_step
+from .distributions import _conv_cdf_values, _conv_head, _phi_atom_list, grid_step
 from .fluid import (
     ConvKernel,
     FluidSolution,
     _cumtrapz,
     _equations,
+    _markovian_rates,
     cdf_kernel,
     conv_full,
     solve_linear_volterra,
+    table_kernel,
 )
 from .model import _STAGES, ModelSpec
 
@@ -96,9 +100,11 @@ class FcltPath:
 
 
 def _model_spec(fluid: FluidSolution) -> ModelSpec:
-    if not isinstance(fluid.spec, ModelSpec):  # the ODE and delay solvers keep a dict
-        raise ValueError("need the model spec: this fluid solution keeps none")
-    return fluid.spec
+    spec = fluid.spec  # a two-stage solve also reads the kernel table solve_fluid keeps
+    if not isinstance(spec, ModelSpec) or (spec.h is not None and fluid.kernels is None):
+        raise ValueError("need the model spec, and for SEIR and SIRS its kernel table "
+                         "from solve_fluid: this fluid solution lacks one")
+    return spec
 
 
 class DriverCovariance:
@@ -186,13 +192,16 @@ class DriverCovariance:
         one_stage = self.kind in ("SIS", "SIR")
         kernels = [cdf_kernel(self.spec.f if one_stage else self.spec.h.g, t)]
         if not one_stage:
-            # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi
+            # rows[d, i] = P(onset by t_i, both by t_{i+d}); row 0 is Phi, level
+            # 2's law, whose atoms (sums of g's and f's) are added exactly below
             rows = _conv_cdf_values(self.spec.h, self.grid, n)
-            kernels.append(ConvKernel(rows[0].copy()))
+            kernels.append(table_kernel(rows[0], _phi_atom_list(self.spec.h), t))
             # [d, i] = int_0^{t_i} q(s) rows[d](t_i - s) ds, product trapezoid
             conv = dt * (_conv_head(rows, q, n) - 0.5 * q[0] * rows - 0.5 * rows[:, :1] * q)
             conv[:, 0] = 0.0  # an integral over an empty interval
             del rows
+            if kernels[0].atoms:
+                self._g_atoms_exact(conv, kernels[0].atoms)
         m = 1 + len(kernels)
         out = np.empty((m, n, m, n))
         # Level 0 (MA) counts every infection, so its integral over s <= t_i
@@ -230,6 +239,27 @@ class DriverCovariance:
                 if x < y:
                     out[y, :, x] = blk.T
         return out
+
+    def _g_atoms_exact(self, conv: np.ndarray, atoms) -> None:
+        """Correct the pair table conv, [d, i] as _w_block builds it, at the
+        jumps that the atoms of g put into its rows.
+
+        An atom of g, of mass w at lag a, adds w F(t_{i+d} - a) to rows[d, i]
+        from i = a on: rows[d] jumps by w F(t_d) at lag a and, for an atom of
+        F at a lag b > d, by w times its mass at lag a + b - d. Against a
+        jump J at a lag c > 0 the product trapezoid weighs q(t_i - t_c) by
+        dt, the exact atom rule of the level tables by dt / 2.
+        """
+        q, dt, n = self.qpath, self.dt, self.n
+        idx = np.arange(n)
+        f = cdf_kernel(self.spec.h.f, idx * dt)
+        for a, w in atoms:
+            jumps = [(np.full(n, a), f.cont + sum(jb * (idx >= b) for b, jb in f.atoms))]
+            jumps += [(a + b - idx, jb * (idx < b)) for b, jb in f.atoms]
+            for lag, size in jumps:
+                k = idx - lag[:, None]  # [d, i]: the node of q that the jump meets
+                hit = (k >= 0) & (lag[:, None] > 0)
+                conv -= 0.5 * dt * w * size[:, None] * np.where(hit, q[np.clip(k, 0, n - 1)], 0.0)
 
     def _pool_block(self, block: str) -> np.ndarray:
         """Base covariance of the initial pool whose mass is spec.<block>:
@@ -470,18 +500,19 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     return FcltPath(grid, *out)
 
 
-def sis_sde_path(lam, mu, fluid: FluidSolution, ihat0, rng,
-                 paths: int = 1, noise: bool = True):
+def sis_sde_path(fluid: FluidSolution, ihat0, rng, paths: int = 1, noise: bool = True):
     """Euler-Maruyama for the Markovian SIS fluctuation SDE.
 
     The fluctuation solves dX = (lam (1 - 2 Ibar) - mu) X dt plus the
     time-changed Brownian term of variance (lam (1-Ibar) Ibar + mu Ibar) dt,
-    on the fluid grid. Returns (n,) for a single path, else (paths, n).
+    on the fluid grid, for the Markovian SIS model of fluid.spec
+    (_markovian_rates). Returns (n,) for a single path, else (paths, n).
     """
+    spec = _model_spec(fluid)
+    if spec.kind != "SIS":
+        raise ValueError(f"the SDE is the SIS limit, not {spec.kind}")
+    lam, (mu,) = _markovian_rates(spec)
     dt = grid_step(fluid.grid)
-    lam, mu = float(lam), float(mu)
-    if lam < 0 or mu <= 0:
-        raise ValueError("need lam >= 0 and mu > 0")
     ibar = fluid.I
     n = len(ibar)
     out = np.empty((paths, n))

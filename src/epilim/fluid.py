@@ -1,7 +1,9 @@
 """Deterministic limit solvers: the renewal-type Volterra system of each of
 the four models, one step loop for every such system (the fluid's and the
 linear fluctuation systems of fclt), and the Markovian-ODE and
-deterministic-duration delay special cases used as cross-checks.
+deterministic-duration delay special cases used as cross-checks. Every
+solver takes the ModelSpec and keeps it on its FluidSolution; the special
+cases refuse a spec they do not describe.
 
 Each kind's system (_equations) is written once: its renewal terms, the
 closure giving S, and the compartments that are convolutions of the rate.
@@ -33,14 +35,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import (
+    Deterministic,
     DurationDist,
+    Exponential,
     KernelTable,
     _conv_head,
     grid_step,
     tabulate_kernels,
     uniform_grid,
 )
-from .model import KINDS, ModelSpec
+from .model import _STAGES, ModelSpec
 
 __all__ = [
     "ConvKernel",
@@ -260,8 +264,9 @@ class FluidSolution:
     A is the cumulative infection fraction and L the cumulative onset
     fraction (equal to A except for SEIR). diagnostics records the grid
     step actually used, internal halvings, fixed-point iteration counts,
-    and probe residuals of the discretized equations. kernels is the (h, h0)
-    table of the solve on this grid; None for SIS/SIR, ODE and delay solves.
+    and probe residuals of the discretized equations. spec is the model
+    solved, by every solver here. kernels is the (h, h0) table of the solve
+    on this grid; None for SIS/SIR, ODE and delay solves.
     """
 
     kind: str
@@ -272,7 +277,7 @@ class FluidSolution:
     R: np.ndarray
     A: np.ndarray
     L: np.ndarray
-    spec: object = field(repr=False, default=None)
+    spec: ModelSpec | None = field(repr=False, default=None)
     diagnostics: dict = field(default_factory=dict)
     kernels: KernelTable | None = field(repr=False, default=None)
 
@@ -539,30 +544,46 @@ def solve_linear_volterra(forcings, kernels, coefs, weights, grid, residual_chec
     return [np.ascontiguousarray(x.T) for x in xs], np.ascontiguousarray(r.T)
 
 
-_ODE_INIT_KEYS = {"i0", "e0", "r0"}
+def _require_default_residuals(spec: ModelSpec, solver: str) -> None:
+    """Refuse spec unless each initial pool with mass has ModelSpec's default
+    residual law, the one that solver assumes."""
+    default = replace(spec, f0=None, h0=None)  # ModelSpec fills in the defaults
+    for pool, law, _ in _STAGES[spec.kind]:
+        want, have = getattr(default, law), getattr(spec, law)
+        if pool != "new" and getattr(spec, pool) > 0 and have != want:
+            raise ValueError(f"{solver} needs the {pool} pool's law {law} = {want!r}, "
+                             f"got {have!r}")
 
 
-def solve_markovian_ode(kind, lam, gamma, mu, init, grid) -> FluidSolution:
-    """Classic RK4 for the exponential-period special case.
+def _markovian_rates(spec: ModelSpec):
+    """(lam, rates of a new infection's stages) where the Markovian ODE is the
+    fluid limit: a constant rate, exponential laws, and each initial pool's
+    law that of a new infection's remaining stages (ModelSpec's default)."""
+    lam = spec.lam_constant()
+    if lam is None:
+        raise ValueError("the Markovian ODE needs a constant contact rate")
+    stages = (spec.f,) if spec.h is None else (spec.h.g, spec.h.f)  # f is None if h is bucketed
+    if not all(isinstance(d, Exponential) for d in stages):
+        raise ValueError("the Markovian ODE needs independent exponential period laws, "
+                         f"got {spec.f or spec.h!r}")
+    _require_default_residuals(spec, "the Markovian ODE")
+    return lam, tuple(d.rate for d in stages)
+
+
+def solve_markovian_ode(spec: ModelSpec, grid) -> FluidSolution:
+    """Classic RK4 for the exponential-period special case, Kurtz's
+    density-dependent limit; _markovian_rates refuses any other spec.
 
     Rates: lam infection; mu exit from I (SIS: back to S, SIR/SEIR: to R);
     gamma E->I for SEIR. For SIRS gamma is the I->R rate and mu the R->S
     rate, matching the equilibrium formulas.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if lam < 0 or mu <= 0 or (kind == "SEIR" and gamma <= 0) or (kind == "SIRS" and gamma <= 0):
-        raise ValueError("rates must be positive")
-    if not _ODE_INIT_KEYS.issuperset(init):
-        raise ValueError(f"init keys must be among {sorted(_ODE_INIT_KEYS)}")
-    i0 = float(init.get("i0", 0.0))
-    e0 = float(init.get("e0", 0.0))
-    r0 = float(init.get("r0", 0.0))
+    lam, rates = _markovian_rates(spec)
+    gamma, mu = rates if len(rates) == 2 else (0.0, rates[0])
+    kind, i0, e0, r0 = spec.kind, spec.i0, spec.e0, spec.r0
     grid = np.asarray(grid, dtype=float)
     dt = grid_step(grid)
     n = len(grid)
-
-    lam, gamma, mu = float(lam), float(gamma), float(mu)
 
     # Python floats, in the array form's operation order: the same IEEE
     # results at a fraction of the per-step cost. Last comes the flux into A.
@@ -610,23 +631,28 @@ def solve_markovian_ode(kind, lam, gamma, mu, init, grid) -> FluidSolution:
         R=out[:, 3],
         A=acum,
         L=ll,
-        spec={"lam": lam, "gamma": gamma, "mu": mu, "init": dict(init)},
+        spec=spec,
         diagnostics={"dt": dt, "method": "rk4"},
     )
 
 
-def solve_deterministic_delay(kind, lam, xi, eta, init, grid) -> FluidSolution:
+def solve_deterministic_delay(spec: ModelSpec, grid) -> FluidSolution:
     """Delay-equation form of the SIRS system with point-mass periods.
 
-    Infectious period exactly xi, immune period exactly eta; initially
-    infectious (immune) agents carry uniform residuals on [0, xi] ([0, eta]).
-    The grid step must divide both xi and eta so the moving integration
-    limits land on nodes.
+    spec has a constant rate and h = Deterministic(xi) x Deterministic(eta):
+    infectious period exactly xi, immune period exactly eta. Initially
+    infectious (immune) agents carry ModelSpec's default residuals, uniform
+    on [0, xi] ([0, eta]). The grid step must divide both xi and eta so the
+    moving integration limits land on nodes.
     """
-    if kind != "SIRS":
+    if spec.kind != "SIRS":
         raise ValueError("the delay form is implemented for SIRS only")
-    if xi <= 0 or eta <= 0:
-        raise ValueError("xi and eta must be positive")
+    lam, h = spec.lam_constant(), spec.h
+    if lam is None or not all(isinstance(d, Deterministic) and d.value > 0 for d in (h.g, h.f)):
+        raise ValueError("the delay form needs a constant rate and h = Deterministic(xi) x "
+                         "Deterministic(eta), with xi and eta positive")
+    _require_default_residuals(spec, "the delay form")
+    xi, eta, i0, r0 = h.g.value, h.f.value, spec.i0, spec.r0
     grid = np.asarray(grid, dtype=float)
     dt = grid_step(grid)
     mx = xi / dt
@@ -635,8 +661,6 @@ def solve_deterministic_delay(kind, lam, xi, eta, init, grid) -> FluidSolution:
         raise ValueError(f"grid step {dt:g} must divide xi={xi:g} and eta={eta:g}")
     mx = int(round(mx))
     me = int(round(me))
-    i0 = float(init.get("i0", 0.0))
-    r0 = float(init.get("r0", 0.0))
     kk = len(grid) - 1
 
     # uniform residuals: still-infectious fraction (1 - t/xi)^+, etc.
@@ -683,6 +707,6 @@ def solve_deterministic_delay(kind, lam, xi, eta, init, grid) -> FluidSolution:
         R=rr,
         A=aa,
         L=aa.copy(),
-        spec={"lam": lam, "xi": xi, "eta": eta, "init": dict(init)},
+        spec=spec,
         diagnostics={"dt": dt, "max_iterations": max_it, "method": "delay"},
     )

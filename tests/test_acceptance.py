@@ -25,8 +25,6 @@ from epilim import (
     sample_drivers,
     simulate,
     simulate_ensemble,
-    sirs_equilibrium,
-    sis_equilibrium,
     sis_sde_path,
     solve_deterministic_delay,
     solve_fclt_path,
@@ -61,15 +59,12 @@ def test_markovian_fluid_matches_ode():
 
     sir = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))
     errs["SIR"] = _sup_vs(solve_fluid(sir, grid),
-                          solve_markovian_ode("SIR", 1.5, 0.0, 1.0,
-                                              {"i0": 0.05}, grid))
+                          solve_markovian_ode(sir, grid))
     seir = ModelSpec(kind="SEIR", lam=1.5, i0=0.05, e0=0.05,
                      h=JointDurationDist(g=Exponential(1.0),
                                          f=Exponential(1.0)))
     errs["SEIR"] = _sup_vs(solve_fluid(seir, grid),
-                           solve_markovian_ode("SEIR", 1.5, 1.0, 1.0,
-                                               {"i0": 0.05, "e0": 0.05},
-                                               grid))
+                           solve_markovian_ode(seir, grid))
     elapsed = time.perf_counter() - start
     worst = max(errs.values())
     ok = worst < 1e-4 and elapsed < 10.0
@@ -199,8 +194,7 @@ def test_sis_variance_two_representations():
     drv = sample_drivers(DriverCovariance(fl),
                          np.random.default_rng(7), paths=5000)
     volterra = solve_fclt_path(drv, fl)
-    sde = sis_sde_path(2.0, 1.0, fl, 0.0, np.random.default_rng(8),
-                       paths=5000)
+    sde = sis_sde_path(fl, 0.0, np.random.default_rng(8), paths=5000)
 
     gaps = {}
     for t in (0.5, 1.0, 2.0, 5.0):
@@ -238,13 +232,9 @@ def test_endemic_equilibria():
     gap_sirs = max(abs(float(getattr(fl2, c)[-1]) - v)
                    for c, v in target.items())
 
-    point = sirs_equilibrium(3.0, 1.0, 2.0)
-    rep = verify_equilibrium_identities(point, sirs.h,
-                                        uniform_grid(10.0, 0.01))
+    rep = verify_equilibrium_identities(sirs, uniform_grid(10.0, 0.01))
     res = max(rep["identities"]["residual1"], rep["identities"]["residual2"])
-    point_sis = sis_equilibrium(2.0, 1.0)
-    rep_sis = verify_equilibrium_identities(point_sis, sis.f,
-                                            uniform_grid(10.0, 0.01))
+    rep_sis = verify_equilibrium_identities(sis, uniform_grid(10.0, 0.01))
     res = max(res, rep_sis["identities"]["residual1"],
               rep_sis["identities"]["residual2"])
 
@@ -269,7 +259,7 @@ def test_deterministic_period_delay_form():
                                          f=Deterministic(eta)))
     grid = uniform_grid(10.0, 0.01)
     fl = solve_fluid(spec, grid)
-    dl = solve_deterministic_delay("SIRS", lam, xi, eta, {"i0": i0}, grid)
+    dl = solve_deterministic_delay(spec, grid)
     solver_gap = _sup_vs(fl, dl, comps="SIR")
 
     path, _ = simulate(spec, 100_000, 10.0, 0.01, np.random.default_rng(0))

@@ -223,6 +223,26 @@ def test_verify_engine_rejects_non_markovian(tmp_path, capsys):
     assert "exponential" in capsys.readouterr().err
 
 
+_EXP = {"family": "Exponential", "params": [1.0]}
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "SIR", "lam": 1.5, "i0": 0.05, "f": _EXP,
+     "f0": {"family": "Exponential", "params": [2.0]}},
+    {"kind": "SEIR", "lam": 1.5, "i0": 0.05, "e0": 0.05, "h": {"g": _EXP, "f": _EXP},
+     "f0": {"family": "Gamma", "params": [2.0, 2.0]}},
+    {"kind": "SIRS", "lam": 1.5, "i0": 0.05, "r0": 0.1, "h": {"g": _EXP, "f": _EXP},
+     "f0": {"family": "Uniform", "params": [0.0, 4.0]}},
+])
+def test_verify_engine_rejects_initial_laws_the_ode_lacks(tmp_path, capsys, model):
+    # the ODE holds only where each initial pool's law is a new infection's
+    # remaining stages: any other f0 is a validation error, not a check failure
+    doc = _sir_doc(str(tmp_path / "run"), engine="verify", model=model)
+    doc["grid"] = {"horizon": 5.0, "dt": 0.01}
+    assert cli.run(_write(tmp_path, doc)) == 1
+    assert "f0 = Exponential(1)" in capsys.readouterr().err
+
+
 def test_equilibrium_engine_sirs(tmp_path):
     doc = {
         "engine": "equilibrium",

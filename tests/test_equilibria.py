@@ -11,6 +11,7 @@ from epilim import (
     JointDurationDist,
     LogNormal,
     ModelSpec,
+    TabulatedRate,
     Uniform,
     solve_fluid,
     uniform_grid,
@@ -103,10 +104,9 @@ def test_long_run_fluid_sirs_matches_closed_form():
 
 
 def test_verify_endemic_markovian_sirs():
-    point = sirs_equilibrium(3.0, 1.0, 2.0)
     laws = JointDurationDist(g=Exponential(1.0), f=Exponential(2.0))
     grid = uniform_grid(50.0, 1e-3)
-    report = verify_equilibrium_identities(point, laws, grid)
+    report = verify_equilibrium_identities(ModelSpec(kind="SIRS", lam=3.0, i0=0.1, h=laws), grid)
     assert report["passed"]
     assert report["identities"]["residual1"] < 1e-10
     assert report["identities"]["residual2"] < 1e-10
@@ -120,51 +120,45 @@ def test_verify_endemic_markovian_sirs():
 
 def test_verify_depends_on_means_only():
     # same rates from very different shapes still verify
-    point = sis_equilibrium(2.0, 1.0)
     grid = uniform_grid(50.0, 1e-3)
-    rep = verify_equilibrium_identities(point, LogNormal(-0.125, 0.5), grid)
+    rep = verify_equilibrium_identities(
+        ModelSpec(kind="SIS", lam=2.0, i0=0.1, f=LogNormal(-0.125, 0.5)), grid)
     assert rep["passed"] and rep["fixed_point"]["max_residual_I"] < 1e-6
 
-    point = sirs_equilibrium(3.0, 1.0, 2.0)
     laws = JointDurationDist(g=Uniform(0.5, 1.5), f=Gamma(2.0, 4.0))
-    rep = verify_equilibrium_identities(point, laws, grid)
+    rep = verify_equilibrium_identities(ModelSpec(kind="SIRS", lam=3.0, i0=0.1, h=laws), grid)
     assert rep["passed"]
     assert rep["fixed_point"]["max_residual_R"] < 1e-6
 
 
 def test_verify_trivial_points():
     grid = uniform_grid(20.0, 1e-3)
-    rep = verify_equilibrium_identities(sis_equilibrium(1.0, 2.0),
-                                        Exponential(2.0), grid)
+    rep = verify_equilibrium_identities(
+        ModelSpec(kind="SIS", lam=1.0, i0=0.1, f=Exponential(2.0)), grid)
     assert rep["passed"]
     assert rep["identities"] == {"residual1": 0.0, "residual2": 0.0}
     assert rep["fixed_point"]["max_residual_I"] == 0.0
 
-    point = sirs_equilibrium(1.0, 2.0, 1.0)
     laws = JointDurationDist(g=Exponential(2.0), f=Exponential(1.0))
-    rep = verify_equilibrium_identities(point, laws, grid)
+    rep = verify_equilibrium_identities(ModelSpec(kind="SIRS", lam=1.0, i0=0.1, h=laws), grid)
     assert rep["passed"] and rep["identities"]["residual2"] == 0.0
 
 
 def test_verify_validation():
     grid = uniform_grid(10.0, 1e-3)
-    with pytest.raises(ValueError, match="inconsistent"):
-        verify_equilibrium_identities(sis_equilibrium(2.0, 1.0),
-                                      Exponential(2.0), grid)
-    point = sirs_equilibrium(3.0, 1.0, 2.0)
     with pytest.raises(ValueError, match="independent"):
         verify_equilibrium_identities(
-            point,
-            JointDurationDist(g=Exponential(1.0), bucket_centers=(0.5,),
-                              bucket_dists=(Exponential(2.0),)),
+            ModelSpec(kind="SIRS", lam=3.0, i0=0.0, h=JointDurationDist(
+                g=Exponential(1.0), bucket_centers=(0.5,), bucket_dists=(Exponential(2.0),))),
             grid,
         )
-    with pytest.raises(ValueError, match="joint"):
-        verify_equilibrium_identities(point, Exponential(1.0), grid)
-    with pytest.raises(ValueError, match="infectious-period law"):
-        verify_equilibrium_identities(
-            sis_equilibrium(2.0, 1.0),
-            JointDurationDist(g=Exponential(1.0), f=Exponential(1.0)), grid)
-    sir_like = EquilibriumPoint("SIR", ENDEMIC, 0.5, 0.5, 0.0, 2.0, None, 1.0)
     with pytest.raises(ValueError, match="kind"):
-        verify_equilibrium_identities(sir_like, Exponential(1.0), grid)
+        verify_equilibrium_identities(
+            ModelSpec(kind="SIR", lam=2.0, i0=0.5, f=Exponential(1.0)), grid)
+
+
+def test_verify_needs_a_constant_rate():
+    spec = ModelSpec(kind="SIS", lam=TabulatedRate((0.0, 1.0), (2.0, 1.0)), i0=0.1,
+                     f=Exponential(1.0))
+    with pytest.raises(ValueError, match="constant contact rate"):
+        verify_equilibrium_identities(spec, uniform_grid(10.0, 1e-3))

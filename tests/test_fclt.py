@@ -189,6 +189,51 @@ def test_cumulative_driver_variance_equals_fluid_cumulative():
         assert abs(cov.cov("I1", 5.0, "I1", 5.0) - 0.5) < 1e-12
 
 
+_SEIR_PAIRS = [("L1", 1.0, "R1", 3.0), ("L1", 2.0, "R1", 2.5), ("E1", 1.0, "I1", 3.0),
+               ("L1", 1.5, "L1", 3.0)]
+_POINT_MASSES = JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.5))
+
+
+@pytest.mark.parametrize("kind, h, pairs", [
+    ("SEIR", JointDurationDist(g=Deterministic(0.5), f=Exponential(1.0)), _SEIR_PAIRS),
+    ("SEIR", JointDurationDist(g=Uniform(0.2, 0.8), f=Exponential(1.0)), _SEIR_PAIRS),
+    ("SIRS", _POINT_MASSES,
+     [("I1", 1.2, "R1", 3.0), ("I1", 1.0, "R1", 3.0), ("R1", 3.0, "R1", 3.0)]),
+])
+def test_two_stage_w_law_is_second_order_with_g_atoms(kind, h, pairs):
+    # the onset x both table of W integrates rows that jump at an atom of g,
+    # and with an atom of f too the law of both stages jumps; read exactly,
+    # each error shrinks fourfold as dt halves
+    masses = {"e0": 0.04} if kind == "SEIR" else {"r0": 0.1}
+    spec = ModelSpec(kind=kind, lam=2.0, i0=0.03, h=h, **masses)
+    vals = []
+    for dt in (0.05, 0.025, 0.0125):
+        cov = DriverCovariance(solve_fluid(spec, uniform_grid(4.0, dt)))
+        vals.append(np.array([cov.cov(*pair) for pair in pairs]))
+    ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
+    assert np.all(ratio >= 3.0), ratio
+
+
+@pytest.mark.parametrize("kind", ["SEIR", "SIRS"])
+def test_point_mass_w_variance_is_the_fluid_mean(kind):
+    # with both periods point masses the law of both stages jumps too; the
+    # variance of R1 is still its fluid mean, R less the initial pools
+    masses = {"e0": 0.04} if kind == "SEIR" else {"r0": 0.1}
+    spec = ModelSpec(kind=kind, lam=2.0, i0=0.05, h=_POINT_MASSES, **masses)
+    for dt in (0.1, 0.05, 0.025):
+        grid = uniform_grid(4.0, dt)
+        fl = solve_fluid(spec, grid)
+        if kind == "SEIR":
+            post = fl.R - spec.e0 * fl.kernels.phi0 - spec.i0 * spec.f0.cdf(grid)
+        else:
+            post = fl.R - spec.i0 * fl.kernels.psi0 - spec.r0 * spec.f0.sf(grid)
+        cov = DriverCovariance(fl)
+        got = np.array([cov.cov("R1", t, "R1", t) for t in grid])
+        assert np.max(np.abs(got - post)) < 1e-12, dt
+        if kind == "SIRS":  # R1(t) counts the infections of (t - 2.5, t - 1]
+            assert abs(cov.cov("R1", 2.0, "R1", 3.5)) < 1e-12
+
+
 def test_initial_block_closed_form():
     # half-life survival at t=1 gives i0 (1/2 - 1/4) exactly
     grid = uniform_grid(2.0, 0.05)
@@ -252,8 +297,9 @@ def test_cross_block_independence_and_validation():
     bare.spec = None
     with pytest.raises(ValueError, match="spec"):
         DriverCovariance(bare)
-    # the ODE solver keeps its rates in a dict, which is no model spec
-    ode = solve_markovian_ode("SEIR", 1.5, 1.0, 1.0, {"i0": 0.05}, grid)
+    # the ODE solver keeps its spec but makes no kernel table
+    h = JointDurationDist(g=Exponential(1.0), f=Exponential(1.0))
+    ode = solve_markovian_ode(ModelSpec(kind="SEIR", lam=1.5, i0=0.05, h=h), grid)
     with pytest.raises(ValueError, match="need the model spec"):
         DriverCovariance(ode)
 
@@ -713,7 +759,7 @@ def test_solved_path_variance_matches_sde():
     reps = 3000
     dr = sample_drivers(cov, rng, paths=reps)
     volt = solve_fclt_path(dr, fl).Ihat
-    sde = sis_sde_path(lam, mu, fl, 0.0, rng, paths=reps)
+    sde = sis_sde_path(fl, 0.0, rng, paths=reps)
     k = int(round(1.0 / 0.02))
     v1, v2 = volt[:, k].var(ddof=1), sde[:, k].var(ddof=1)
     band = 3.0 * np.sqrt(_var_se(v1, reps) ** 2 + _var_se(v2, reps) ** 2)
@@ -728,7 +774,7 @@ def test_sde_variance_without_contacts():
     fl = solve_fluid(spec, grid)
     rng = np.random.default_rng(9)
     reps = 5000
-    paths = sis_sde_path(0.0, mu, fl, 0.0, rng, paths=reps)
+    paths = sis_sde_path(fl, 0.0, rng, paths=reps)
     for t in (0.5, 1.0, 2.0):
         k = int(round(t / 0.005))
         want = i0 * (np.exp(-mu * t) - np.exp(-2.0 * mu * t))
@@ -741,11 +787,45 @@ def test_sde_drift_only_matches_linear_ode():
     grid = uniform_grid(2.0, 0.001)
     spec = ModelSpec(kind="SIS", lam=lam, i0=0.3, f=Exponential(mu))
     fl = solve_fluid(spec, grid)
-    path = sis_sde_path(lam, mu, fl, 1.0, np.random.default_rng(0), noise=False)
+    path = sis_sde_path(fl, 1.0, np.random.default_rng(0), noise=False)
     # exact solution of x' = (lam(1 - 2 Ibar) - mu) x by fine quadrature
     rate = lam * (1.0 - 2.0 * fl.I) - mu
     cumr = np.concatenate(([0.0], np.cumsum(0.001 * 0.5 * (rate[1:] + rate[:-1]))))
     exact = np.exp(cumr)
     assert np.max(np.abs(path - exact)) < 5e-3
-    with pytest.raises(ValueError, match="mu"):
-        sis_sde_path(1.0, 0.0, fl, 0.0, np.random.default_rng(0))
+    gamma = solve_fluid(ModelSpec(kind="SIS", lam=lam, i0=0.3, f=Gamma(2.0, 2.0)), grid)
+    with pytest.raises(ValueError, match="exponential"):
+        sis_sde_path(gamma, 0.0, np.random.default_rng(0))
+
+
+_EXP_H = JointDurationDist(g=Exponential(1.0), f=Exponential(1.0))
+
+
+@pytest.mark.parametrize("model, match", [
+    (dict(kind="SIS", f=Gamma(2.0, 2.0)), "exponential"),
+    (dict(kind="SIS", lam=TabulatedRate((0.0, 1.0), (2.0, 0.5)), f=Exponential(1.0)), "constant"),
+    (dict(kind="SIS", f=Exponential(1.0), f0=Exponential(2.0)), r"f0 = Exponential\(1\)"),
+    # a bucketed h belongs to a two-stage kind, which is not the SIS SDE's
+    (dict(kind="SEIR", f0=Exponential(1.0), h=JointDurationDist(
+        g=Exponential(1.0), bucket_centers=(0.5,), bucket_dists=(Exponential(1.0),))), "SIS"),
+    (dict(kind="SIR", f=Exponential(1.0)), "SIS"),
+])
+def test_sde_refuses_models_it_does_not_describe(model, match):
+    fl = solve_fluid(ModelSpec(**dict(dict(lam=2.0, i0=0.3), **model)), uniform_grid(1.0, 0.1))
+    with pytest.raises(ValueError, match=match):
+        sis_sde_path(fl, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, masses", [("SEIR", {"e0": 0.04}), ("SIRS", {"r0": 0.1})])
+def test_fclt_needs_the_two_stage_kernel_table(kind, masses):
+    # an ODE fluid keeps its spec but no kernel table, which the two-stage
+    # solve reads: refused up front, not an AttributeError inside _equations
+    grid = uniform_grid(1.0, 0.1)
+    ode = solve_markovian_ode(ModelSpec(kind=kind, lam=1.5, i0=0.05, h=_EXP_H, **masses), grid)
+    with pytest.raises(ValueError, match="kernel table"):
+        DriverCovariance(ode)
+    with pytest.raises(ValueError, match="kernel table"):
+        solve_fclt_path(_zero_drivers(kind, len(grid)), ode)
+    # a one-stage ODE fluid needs no table
+    sir = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))
+    assert DriverCovariance(solve_markovian_ode(sir, grid)).kind == "SIR"

@@ -74,7 +74,7 @@ def test_sir_matches_markovian_ode():
     grid = uniform_grid(10.0, 0.002)
     spec = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))
     sol = solve_fluid(spec, grid)
-    ode = solve_markovian_ode("SIR", 1.5, 0.0, 1.0, {"i0": 0.05}, grid)
+    ode = solve_markovian_ode(spec, grid)
     assert _sup(sol.S, ode.S) < 1e-6
     assert _sup(sol.I, ode.I) < 1e-6
     assert _sup(sol.R, ode.R) < 1e-6
@@ -86,7 +86,7 @@ def test_seir_matches_markovian_ode():
     h = JointDurationDist(g=Exponential(2.0), f=Exponential(1.0))
     spec = ModelSpec(kind="SEIR", lam=2.0, i0=0.02, e0=0.03, h=h)
     sol = solve_fluid(spec, grid)
-    ode = solve_markovian_ode("SEIR", 2.0, 2.0, 1.0, {"i0": 0.02, "e0": 0.03}, grid)
+    ode = solve_markovian_ode(spec, grid)
     for a, b in ((sol.S, ode.S), (sol.E, ode.E), (sol.I, ode.I), (sol.R, ode.R)):
         assert _sup(a, b) < 1e-6
     # exposed balance holds by construction, not just asymptotically
@@ -97,7 +97,7 @@ def test_sis_matches_markovian_ode():
     grid = uniform_grid(10.0, 0.002)
     spec = ModelSpec(kind="SIS", lam=2.0, i0=0.05, f=Exponential(1.0))
     sol = solve_fluid(spec, grid)
-    ode = solve_markovian_ode("SIS", 2.0, 0.0, 1.0, {"i0": 0.05}, grid)
+    ode = solve_markovian_ode(spec, grid)
     assert _sup(sol.I, ode.I) < 1e-6
 
 
@@ -106,20 +106,21 @@ def test_sirs_matches_markovian_ode():
     h = JointDurationDist(g=Exponential(1.0), f=Exponential(2.0))
     spec = ModelSpec(kind="SIRS", lam=3.0, i0=0.1, r0=0.15, h=h)
     sol = solve_fluid(spec, grid)
-    ode = solve_markovian_ode("SIRS", 3.0, 1.0, 2.0, {"i0": 0.1, "r0": 0.15}, grid)
+    ode = solve_markovian_ode(spec, grid)
     for a, b in ((sol.S, ode.S), (sol.I, ode.I), (sol.R, ode.R)):
         assert _sup(a, b) < 1e-6
 
 
 def test_rk4_oracle_properties():
     grid = uniform_grid(8.0, 0.002)
-    ode = solve_markovian_ode("SIR", 0.0, 0.0, 1.3, {"i0": 0.2}, grid)
+    ode = solve_markovian_ode(ModelSpec(kind="SIR", lam=0.0, i0=0.2, f=Exponential(1.3)), grid)
     assert _sup(ode.I, 0.2 * np.exp(-1.3 * grid)) < 1e-10
-    ode = solve_markovian_ode("SEIR", 2.0, 1.5, 1.0, {"i0": 0.05, "e0": 0.05}, grid)
+    h = JointDurationDist(g=Exponential(1.5), f=Exponential(1.0))
+    ode = solve_markovian_ode(ModelSpec(kind="SEIR", lam=2.0, i0=0.05, e0=0.05, h=h), grid)
     assert _sup(ode.S + ode.E + ode.I + ode.R, 1.0) < 1e-12
     assert _sup(ode.E, 0.05 + ode.A - ode.L) < 1e-12
     long = uniform_grid(50.0, 0.001)
-    ode = solve_markovian_ode("SIS", 2.0, 0.0, 1.0, {"i0": 0.3}, long)
+    ode = solve_markovian_ode(ModelSpec(kind="SIS", lam=2.0, i0=0.3, f=Exponential(1.0)), long)
     assert abs(ode.I[-1] - 0.5) < 1e-6  # endemic level 1 - mu/lam
 
 
@@ -157,11 +158,37 @@ def _rk4_arrays(kind, lam, gamma, mu, u0, grid):
 @pytest.mark.parametrize("kind", ["SIS", "SIR", "SEIR", "SIRS"])
 def test_rk4_matches_array_form_bitwise(kind):
     grid = uniform_grid(6.0, 0.01)
-    ode = solve_markovian_ode(kind, 1.7, 1.3, 0.9, {"i0": 0.05, "e0": 0.03, "r0": 0.02}, grid)
-    u0 = (1.0 - 0.05 - 0.03 - 0.02, 0.03, 0.05, 0.02)
+    # ModelSpec takes e0 for SEIR only and r0 for SIRS only
+    e0, r0 = 0.03 * (kind == "SEIR"), 0.02 * (kind == "SIRS")
+    laws = ({"f": Exponential(0.9)} if kind in ("SIS", "SIR")
+            else {"h": JointDurationDist(g=Exponential(1.3), f=Exponential(0.9))})
+    ode = solve_markovian_ode(ModelSpec(kind=kind, lam=1.7, i0=0.05, e0=e0, r0=r0, **laws), grid)
+    u0 = (1.0 - 0.05 - e0 - r0, e0, 0.05, r0)
     out, acum = _rk4_arrays(kind, 1.7, 1.3, 0.9, u0, grid)
     np.testing.assert_array_equal(np.column_stack([ode.S, ode.E, ode.I, ode.R]), out)
     np.testing.assert_array_equal(ode.A, acum)
+
+
+_EXP_H = JointDurationDist(g=Exponential(1.0), f=Exponential(1.0))
+_BUCKETED = JointDurationDist(g=Exponential(1.0), bucket_centers=(0.5, 2.0),
+                              bucket_dists=(Exponential(1.0), Exponential(2.0)))
+
+
+@pytest.mark.parametrize("model, match", [
+    (dict(kind="SIR", f=Gamma(2.0, 2.0)), "exponential"),
+    (dict(kind="SEIR", h=_EXP_H, e0=0.05,
+          h0=JointDurationDist(g=Gamma(2.0, 2.0), f=Exponential(1.0))), "h0 = "),
+    (dict(kind="SEIR", h=_BUCKETED, f0=Exponential(1.0)), "independent exponential"),
+    (dict(kind="SIR", lam=TabulatedRate((0.0, 1.0), (1.5, 0.5)), f=Exponential(1.0)), "constant"),
+    (dict(kind="SIR", f=Exponential(1.0), f0=Exponential(2.0)), r"f0 = Exponential\(1\)"),
+    (dict(kind="SIRS", h=_EXP_H, r0=0.1, f0=Uniform(0.0, 4.0)), "f0 = "),
+])
+def test_markovian_ode_refuses_models_it_does_not_describe(model, match):
+    # only a constant rate, exponential laws and each initial pool holding a
+    # new infection's remaining stages make the ODE the model's limit
+    spec = ModelSpec(**dict(dict(lam=1.5, i0=0.05), **model))
+    with pytest.raises(ValueError, match=match):
+        solve_markovian_ode(spec, uniform_grid(1.0, 0.1))
 
 
 # ------------------------------------------------- non-exponential dual route
@@ -204,24 +231,43 @@ def test_sirs_fluid_matches_delay_form():
     h = JointDurationDist(g=Deterministic(xi), f=Deterministic(eta))
     spec = ModelSpec(kind="SIRS", lam=lam, i0=i0, r0=r0, h=h)
     sol = solve_fluid(spec, grid)
-    dde = solve_deterministic_delay(
-        "SIRS", lam, xi, eta, {"i0": i0, "r0": r0}, grid
-    )
+    dde = solve_deterministic_delay(spec, grid)
     for a, b in ((sol.S, dde.S), (sol.I, dde.I), (sol.R, dde.R), (sol.A, dde.A)):
         assert _sup(a, b) < 1e-12
 
 
 def test_delay_solver_validation_and_lam0():
     grid = uniform_grid(3.0, 0.05)
+    h = JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.5))
     with pytest.raises(ValueError):
-        solve_deterministic_delay("SIR", 1.0, 1.0, 1.5, {"i0": 0.1}, grid)
+        solve_deterministic_delay(
+            ModelSpec(kind="SIR", lam=1.0, i0=0.1, f=Deterministic(1.0)), grid)
     with pytest.raises(ValueError):  # 0.07 does not divide 1.0
         solve_deterministic_delay(
-            "SIRS", 1.0, 1.0, 1.5, {"i0": 0.1}, uniform_grid(3.5, 0.07)
+            ModelSpec(kind="SIRS", lam=1.0, i0=0.1, h=h), uniform_grid(3.5, 0.07)
         )
-    dde = solve_deterministic_delay("SIRS", 0.0, 1.0, 1.5, {"i0": 0.2}, grid)
+    dde = solve_deterministic_delay(ModelSpec(kind="SIRS", lam=0.0, i0=0.2, h=h), grid)
     expect_i = 0.2 * np.clip(1.0 - grid, 0.0, None)
     assert _sup(dde.I, expect_i) < 1e-12
+
+
+@pytest.mark.parametrize("model, match", [
+    (dict(kind="SEIR", h=JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.5))),
+     "SIRS only"),
+    (dict(h=JointDurationDist(g=Deterministic(1.0), f=Exponential(1.0))), "Deterministic"),
+    (dict(i0=0.0, r0=0.1, h=JointDurationDist(g=Deterministic(0.0), f=Deterministic(1.5))),
+     "positive"),
+    (dict(lam=TabulatedRate((0.0, 1.0), (1.5, 0.5))), "constant"),
+    (dict(h0=JointDurationDist(g=Uniform(0.0, 0.5), f=Deterministic(1.5))), "h0 = "),
+    (dict(r0=0.1, f0=Uniform(0.0, 1.0)), r"f0 = Uniform\(0, 1.5\)"),
+])
+def test_delay_form_refuses_other_models(model, match):
+    # SIRS with point-mass periods, a constant rate and ModelSpec's default
+    # uniform residual laws only
+    base = dict(kind="SIRS", lam=2.0, i0=0.1,
+                h=JointDurationDist(g=Deterministic(1.0), f=Deterministic(1.5)))
+    with pytest.raises(ValueError, match=match):
+        solve_deterministic_delay(ModelSpec(**dict(base, **model)), uniform_grid(3.0, 0.05))
 
 
 def test_rate_shutoff_freezes_cumulative_infections():
@@ -302,7 +348,7 @@ def test_stiff_rate_triggers_halving_then_fails_honestly():
     assert sol.diagnostics["halvings"] == 3
     assert sol.diagnostics["dt"] == pytest.approx(0.0125)
     assert len(sol.I) == 11  # subsampled back onto the requested grid
-    ode = solve_markovian_ode("SIR", 40.0, 0.0, 1.0, {"i0": 0.05}, uniform_grid(1.0, 1e-4))
+    ode = solve_markovian_ode(spec, uniform_grid(1.0, 1e-4))
     assert abs(sol.I[-1] - ode.I[-1]) < 2e-4
 
     hot = ModelSpec(kind="SIR", lam=120.0, i0=0.05, f=Exponential(1.0))

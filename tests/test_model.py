@@ -42,6 +42,34 @@ def test_limit_layer_imports_no_simulator():
         assert not _package_imports(SRC / f"{name}.py") & _ABOVE, name
 
 
+def _unused_imports(path: Path) -> list:
+    """Names bound by the module-level imports of a source file that the file
+    neither reads nor lists in __all__."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", "") != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_every_module_level_import_is_used(tmp_path):
+    probe = tmp_path / "probe.py"  # the guard sees unused names
+    probe.write_text("import os.path\nfrom x import a, b as c\n__all__ = ['a']\n")
+    assert _unused_imports(probe) == ["probe.py:1 os", "probe.py:2 c"]
+    found = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
+    assert found == []
+
+
 def test_model_names_resolve_where_they_did():
     for mod in (epilim, agent_sim, model):
         for name in mod.__all__:
