@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .agent_sim import simulate_ensemble
-from .distributions import JointDurationDist, dist_from_record, equilibrium_dist
+from .distributions import JointDurationDist, _grid_steps, dist_from_record, equilibrium_dist
 from .equilibria import verify_equilibrium_identities
 from .fclt import DriverCovariance, sample_drivers, solve_fclt_path
 from .fluid import solve_fluid, solve_markovian_ode, uniform_grid
@@ -251,7 +251,7 @@ class ExperimentConfig:
         for i, t in enumerate(probes):
             k = round(self.probes[i] / self.dt)
             if (abs(k * self.dt - self.probes[i]) > 1e-9 or k < 0
-                    or k * self.dt > self.horizon + 1e-9):
+                    or k > _grid_steps(self.horizon, self.dt)):
                 raise ConfigError(
                     f"'probes[{i}]' = {t} is not a node of the grid")
 

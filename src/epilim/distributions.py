@@ -58,10 +58,13 @@ def uniform_grid(horizon: float, dt: float) -> np.ndarray:
 
 
 def grid_step(grid: np.ndarray) -> float:
-    """Step of a uniform grid; rejects non-uniform or too-short grids."""
+    """Step of a uniform grid from 0; rejects grids that are non-uniform, too
+    short or start elsewhere (every solver reads node k as time k dt)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two nodes")
+    if grid[0] != 0.0:
+        raise ValueError(f"grid must start at 0, not {grid[0]:g}")
     steps = np.diff(grid)
     dt = steps[0]
     if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):

@@ -14,9 +14,9 @@ time shift at once), so the fluid and the driver law share one
 quadrature; the jumps that an atom of g puts into the two-time table are
 read by the exact atom rule. The sampler draws each block from one factor
 of that same build, so the sampled law is this law and the additive
-identities between drivers hold exactly by construction. Also the linear stochastic Volterra
-solve for (Shat, Ehat, Ihat, Rhat), the fluid's renewal system linearized
-on its own kernel table with the drivers as extra forcing, and the
+identities between drivers hold exactly by construction. Also the solve
+for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its runner
+with the linearized rate and the drivers added to the forcings, and the
 Markovian SIS SDE cross-check, whose rates come from the spec.
 """
 
@@ -30,14 +30,12 @@ from scipy.linalg.lapack import dpstrf
 
 from .distributions import _conv_cdf_values, _conv_head, _phi_atom_list, grid_step
 from .fluid import (
-    ConvKernel,
     FluidSolution,
     _cumtrapz,
     _equations,
     _markovian_rates,
+    _run_system,
     cdf_kernel,
-    conv_full,
-    solve_linear_volterra,
     table_kernel,
 )
 from .model import _STAGES, ModelSpec
@@ -417,19 +415,6 @@ def sample_drivers(cov: DriverCovariance, rng, paths: int = 1) -> dict:
 # -------------------------------------------------------------- path solves
 
 
-# Doubles per conv_full call in _rows_conv: its FFT buffers, a few times this
-# size, stay small next to the path bundle, so many paths add no memory peak.
-_ROW_BLOCK_DOUBLES = 1 << 15
-
-
-def _rows_conv(ker: ConvKernel, r: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty_like(r)
-    rows = max(1, _ROW_BLOCK_DOUBLES // r.shape[1])
-    for p in range(0, r.shape[0], rows):
-        out[p : p + rows] = conv_full(ker, r[p : p + rows], dt)
-    return out
-
-
 # Compartment -> the drivers added to its forcing in the linearized system
 # ("-" marks one that is subtracted). These are the drivers a solve reads.
 _FORCED = {
@@ -454,7 +439,6 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     """
     spec = _model_spec(fluid)
     grid = fluid.grid
-    dt = grid_step(grid)
     kind = spec.kind
     forced = _FORCED[kind]
     flat = True
@@ -469,7 +453,8 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     e0v = np.asarray(ehat0, dtype=float).reshape(-1, 1)
     flat = flat and i0v.size == 1 and e0v.size == 1
 
-    terms, _, cs, rest = _equations(spec, grid, fluid.kernels, 0.0, i0v, e0v)
+    terms, s0, cs, rest = _equations(spec, grid, fluid.kernels, 0.0, i0v, e0v)
+    rest = {name: fk for name, fk in rest.items() if name in forced}  # FcltPath has no L
 
     def forcing(name, f):
         # sampled drivers are Fortran-ordered and f broadcasts over paths,
@@ -483,17 +468,17 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     lam = spec.lam_on_grid(grid)
     zs = [lam * fluid.I * c for c in cs]
     zs[0] = zs[0] + lam * fluid.S
-    xs, r = solve_linear_volterra(
-        [forcing(name, f) for name, f, _ in terms], [K for _, _, K in terms],
-        [1.0] * len(terms), zs, grid,
-    )
-    hats = {name: x for (name, _, _), x in zip(terms, xs)}
-    if "S" not in hats:
-        hats["S"] = sum(c * x for c, x in zip(cs, xs))
-    for name, (f, K) in rest.items():
-        if name in forced:
-            hats[name] = _rows_conv(K, r, dt)
-            hats[name] += forcing(name, f)
+    zs = [z.tolist() for z in zs]
+
+    def rate(k, bases, ws):
+        # X_i = bases[i] + ws[i] qhat is linear in qhat: the step is exact
+        num, den = 0.0, 1.0
+        for z, b, w in zip(zs, bases, ws):
+            num = num + z[k] * b
+            den -= z[k] * w
+        return num / den
+
+    hats, _, _ = _run_system(grid, (terms, s0, cs, rest), rate, forcing)
     out = [hats[c] if c in hats else np.zeros_like(hats["I"]) for c in "SEIR"]
     if flat:
         out = [x[0] for x in out]

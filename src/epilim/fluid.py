@@ -7,8 +7,8 @@ cases refuse a spec they do not describe.
 
 Each kind's system (_equations) is written once: its renewal terms, the
 closure giving S, and the compartments that are convolutions of the rate.
-The fluid solves it with the rate lam S I; fclt solves the same terms on
-the fluid's kernel table, with the linearized rate and drivers as forcing.
+One runner (_run_system) runs it. The fluid passes the rate lam S I; fclt
+passes the linearized rate on the fluid's kernel table and adds drivers.
 
 Discretization: uniform grid, product-trapezoidal convolution. Kernel jump
 discontinuities are carried separately as (lag, jump) atoms whose
@@ -112,14 +112,27 @@ def table_kernel(values: np.ndarray, atom_pairs, grid) -> ConvKernel:
     return ConvKernel(cont=cont, atoms=tuple(atoms))
 
 
-def conv_full(ker: ConvKernel, q: np.ndarray, dt: float) -> np.ndarray:
-    """int_0^{t_k} K(t_k - s) q(s) ds for fully known rate paths q, (..., n).
+# Doubles per row block of a conv_full over many paths: its FFT buffers, a
+# few times this size, stay small next to the path bundle.
+_CONV_ROW_DOUBLES = 1 << 15
 
-    The product-trapezoid sum is one FFT convolution over every path at
-    once. out[..., 0] is the integral over an empty interval, exactly 0.
+
+def conv_full(ker: ConvKernel, q: np.ndarray, dt: float) -> np.ndarray:
+    """int_0^{t_k} K(t_k - s) q(s) ds for fully known rate paths q, (n,) or
+    (paths, n).
+
+    The product-trapezoid sum is one FFT convolution per block of rows, each
+    row on its own, so blocking changes no bit. out[..., 0] is the integral
+    over an empty interval, exactly 0.
     """
     q = np.asarray(q, dtype=float)
     k1 = q.shape[-1]
+    if q.ndim == 2 and q.size > _CONV_ROW_DOUBLES:
+        out = np.empty_like(q)
+        rows = max(1, _CONV_ROW_DOUBLES // k1)
+        for p in range(0, len(q), rows):
+            out[p : p + rows] = conv_full(ker, q[p : p + rows], dt)
+        return out
     cont = ker.cont[:k1]
     out = dt * (_conv_head(cont, q, k1) - 0.5 * cont * q[..., :1] - 0.5 * cont[0] * q)
     out[..., 0] = 0.0
@@ -251,6 +264,32 @@ def _renewal(grid, terms, rate):
         for x, b, w in zip(xs, bases, ws):
             x[k] = b + w * qk
     return [np.asarray(x) for x in xs], np.asarray(q), np.asarray(qcum)
+
+
+def _run_system(grid, system, rate, forced=None):
+    """Run a system of _equations: step its terms with _renewal under the
+    rate closure, convolve the rest with the solved rate q, and close S.
+
+    forced(name, forcing) adds anything to a compartment's forcing; by
+    default nothing. Returns ({compartment: path}, q, cumulative trapezoid
+    of q), each (n,) for one path or (paths, n) for a bundle of forcings.
+    """
+    terms, s0, cs, rest = system
+    forced = forced or (lambda name, f: f)
+    fs = [forced(name, f) for name, f, _ in terms]
+    shape = np.broadcast_shapes(*(np.shape(f) for f in fs))
+    # time-major (n,) or (n, P), so that a step reads one row of the history
+    fs = [np.ascontiguousarray(np.broadcast_to(f, shape).T) for f in fs]
+    xs, q, qcum = _renewal(grid, [(f, K) for f, (_, _, K) in zip(fs, terms)], rate)
+    xs, q = [np.ascontiguousarray(x.T) for x in xs], np.ascontiguousarray(q.T)
+    out = {name: x for (name, _, _), x in zip(terms, xs)}
+    dt = grid_step(grid)
+    for name, (f, K) in rest.items():
+        out[name] = conv_full(K, q, dt)
+        out[name] += forced(name, f)
+    if "S" not in out:  # s0 + sum_i cs[i] X_i, summed left to right
+        out["S"] = sum((c * x for c, x in zip(cs, xs)), s0)
+    return out, q, qcum.T
 
 
 class _StepDiverged(Exception):
@@ -432,14 +471,7 @@ def _solve_fluid_on(spec, grid):
 
     # Divergence is detected and handled, so silence transient overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, q, qcum = _renewal(grid, [(f, K) for _, f, K in terms], rate)
-    out = {name: x for (name, _, _), x in zip(terms, xs)}
-    for name, (f, K) in rest.items():
-        out[name] = f + conv_full(K, q, dt)
-    if "S" not in out:
-        out["S"] = np.full(n, s0)
-        for c, x in zip(cs, xs):
-            out["S"] += c * x
+        out, q, qcum = _run_system(grid, (terms, s0, cs, rest), rate)
     _, forcing, ker = terms[0]
 
     return FluidSolution(
@@ -476,72 +508,6 @@ def _probe_residual(x, forcing, ker, q, dt):
         conv += sum(j * qc[k - lag] for lag, j in ker.atoms if lag <= k)
         worst = max(worst, abs(x[k] - forcing[k] - conv))
     return float(worst)
-
-
-def _as_conv_kernel(K, n_nodes) -> ConvKernel:
-    if isinstance(K, ConvKernel):
-        if len(K.cont) != n_nodes:
-            raise ValueError("kernel path length must match the grid")
-        return K
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 1 or len(K) != n_nodes:
-        raise ValueError("kernel path length must match the grid")
-    return ConvKernel(cont=K, atoms=())
-
-
-def solve_linear_volterra(forcings, kernels, coefs, weights, grid, residual_check=False):
-    """Linear Volterra system solver shared by the limit-process machinery.
-
-    Solves X_i(t) = f_i(t) + c_i int_0^t K_i(t-s) r(s) ds with the coupling
-    r = sum_i z_i X_i. Forcings may be (P, K+1) path bundles; the step solve
-    is exact (the implicit weight enters linearly) and vectorized across
-    paths. Returns (list of X_i, r) with the forcings' shape.
-    """
-    grid = np.asarray(grid, dtype=float)
-    dt = grid_step(grid)
-    n = len(grid)
-    if not (len(forcings) == len(coefs) == len(weights) == len(kernels)):
-        raise ValueError("forcings, kernels, coefs, weights must have equal length")
-    fs = [np.asarray(f, dtype=float) for f in forcings]
-    shape = np.broadcast_shapes(*(f.shape for f in fs))
-    if shape[-1] != n or len(shape) > 2:
-        raise ValueError("forcings must be (n,) or (paths, n) on the grid")
-    flat = len(shape) == 1
-    # time-major (n,) or (n, P), so that a step reads one row of the history
-    fs = [np.ascontiguousarray(np.broadcast_to(f, shape).T) for f in fs]
-    zs = []
-    for z in weights:
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            z = np.full(n, float(z))
-        if z.shape != (n,):
-            raise ValueError("coupling weights must be scalars or (n,) paths")
-        zs.append(z.tolist())
-    kers = []  # c_i folded in: X_i = f_i + int (c_i K_i)(t-s) r(s) ds
-    for K, c in zip(kernels, coefs):
-        K, c = _as_conv_kernel(K, n), float(c)
-        kers.append(ConvKernel(cont=c * K.cont, atoms=tuple((lag, c * j) for lag, j in K.atoms)))
-
-    def rate(k, bases, ws):
-        num = 0.0
-        den = 1.0
-        for z, b, w in zip(zs, bases, ws):
-            num = num + z[k] * b
-            den -= z[k] * w
-        return num / den
-
-    xs, r, _ = _renewal(grid, list(zip(fs, kers)), rate)
-
-    if residual_check:
-        worst = 0.0
-        for f, ker, x in zip(fs, kers, xs):
-            conv = conv_full(ker, r.T, dt).T
-            worst = max(worst, float(np.max(np.abs(x - f - conv))))
-        if worst > 1e-10:
-            raise RuntimeError(f"discretized-equation residual {worst:.3e} above 1e-10")
-    if flat:
-        return xs, r
-    return [np.ascontiguousarray(x.T) for x in xs], np.ascontiguousarray(r.T)
 
 
 def _require_default_residuals(spec: ModelSpec, solver: str) -> None:

@@ -50,6 +50,18 @@ def test_fluid_engine_artifacts(tmp_path):
         pytest.approx(1.0, abs=1e-9)
 
 
+def test_probe_at_the_rounded_up_last_node(tmp_path, capsys):
+    # horizon 1.06 at dt 0.1 is rounded to 11 steps: the grid ends at 1.1
+    out = tmp_path / "run"
+    doc = _sir_doc(str(out), grid={"horizon": 1.06, "dt": 0.1}, probes=[1.1])
+    assert cli.run(_write(tmp_path, doc)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["report"]["probes"][0]["t"] == 1.1
+    doc = _sir_doc(str(tmp_path / "b"), grid={"horizon": 1.06, "dt": 0.1}, probes=[1.2])
+    assert cli.run(_write(tmp_path, doc, "b.json")) == 1
+    assert "probes[0]" in capsys.readouterr().err
+
+
 def test_unknown_keys_name_the_path(tmp_path, capsys):
     doc = _sir_doc(str(tmp_path / "a"))
     doc["model"]["lamda"] = 2.0

@@ -605,6 +605,32 @@ def _zero_drivers(kind, n):
     return {d: np.zeros(n) for d in DRIVER_IDS[kind]}
 
 
+# sha256 of the four compartments of a 6-path solve with per-path ihat0 and
+# ehat0 and of a one-path solve, recorded while the fclt solve still ran
+# its own copy of the fluid's step; the drivers are seeded normals, not
+# sample_drivers draws, so only the solve is pinned
+_PINNED_SOLVES = {
+    "SIS": "7837999c7b78700fe5b65374f6589c714a93575af7a725916f86662562358ccb",
+    "SIR": "4a72aac47c04ef851cf2bbdbf23e901b9c3c88ad1014385bad70c9366cdeafc3",
+    "SEIR": "5cf706d09625a9ec1de75b5c788d07c2a2ac1b2965fcfb2df13212ed240b9357",
+    "SIRS": "63314c3ee38ba1ad4a2dc7f8375bc645476d6eec1722d3e49b235004a04ca7e0",
+}
+
+
+@pytest.mark.parametrize("setup", [_fclt_sis_setup, _sir_setup, _seir_setup, _sirs_setup])
+def test_fclt_solve_is_pinned(setup):
+    spec, fl, grid = setup()
+    rng = np.random.default_rng(19)
+    dr = {d: rng.standard_normal((6, len(grid))) for d in DRIVER_IDS[spec.kind]}
+    ihat0, ehat0 = rng.standard_normal(6), rng.standard_normal(6)
+    h = hashlib.sha256()
+    for path in (solve_fclt_path(dr, fl, ihat0, ehat0),
+                 solve_fclt_path({d: v[0] for d, v in dr.items()}, fl, 0.3, -0.2)):
+        for c in ("Shat", "Ehat", "Ihat", "Rhat"):
+            h.update(np.ascontiguousarray(getattr(path, c)).tobytes())
+    assert h.hexdigest() == _PINNED_SOLVES[spec.kind]
+
+
 def test_solve_zero_forcing_gives_zero_paths():
     spec, fl, grid = _sir_setup()
     path = solve_fclt_path(_zero_drivers("SIR", len(grid)), fl)

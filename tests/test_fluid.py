@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from epilim import fluid
 from epilim.agent_sim import ModelSpec, TabulatedRate
 from epilim.distributions import (
     Deterministic,
@@ -15,12 +16,12 @@ from epilim.distributions import (
     tabulate_kernels,
     uniform_grid,
 )
+from epilim.equilibria import verify_equilibrium_identities
 from epilim.fluid import (
     ConvKernel,
     conv_full,
     solve_deterministic_delay,
     solve_fluid,
-    solve_linear_volterra,
     solve_markovian_ode,
     survival_kernel,
 )
@@ -373,6 +374,20 @@ def test_halved_fluid_keeps_its_kernels_on_the_requested_grid(kind, pool):
     assert solve_fluid(sir, grid).kernels is None  # one-stage kinds have no table
 
 
+def test_solvers_refuse_a_grid_that_does_not_start_at_0():
+    # every solver reads node k as time k dt: on this grid the fluid once
+    # returned I(t_0) = 0.0184 for i0 = 0.05
+    late = np.linspace(1.0, 3.0, 21)
+    sir = ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=Exponential(1.0))
+    sis = ModelSpec(kind="SIS", lam=2.0, i0=0.05, f=Exponential(1.0))
+    h = JointDurationDist(g=Exponential(1.0), f=Uniform(1.0, 3.0))
+    for call in (lambda: solve_fluid(sir, late), lambda: solve_markovian_ode(sir, late),
+                 lambda: tabulate_kernels(h, h, late),
+                 lambda: verify_equilibrium_identities(sis, late)):
+        with pytest.raises(ValueError, match="start at 0"):
+            call()
+
+
 def test_off_grid_point_mass_is_rejected():
     spec = ModelSpec(kind="SIR", lam=1.0, i0=0.1, f=Deterministic(0.333))
     with pytest.raises(ValueError, match="grid"):
@@ -382,11 +397,35 @@ def test_off_grid_point_mass_is_rejected():
 # ------------------------------------------------------- linear system solver
 
 
+def _linear_volterra(forcings, kernels, weights, grid, residual=None):
+    """X_i = f_i + int_0^t K_i(t-s) r(s) ds with r = sum_i z_i X_i, on the
+    fluid's step loop under a linear rate, whose step is exact. Forcings are
+    (n,) or (paths, n); returns (list of X_i, r) in their shape. With
+    residual, asserts the discretized equations hold to it."""
+    zs = [np.broadcast_to(z, grid.shape).tolist() for z in weights]
+
+    def rate(k, bases, ws):
+        num, den = 0.0, 1.0
+        for z, b, w in zip(zs, bases, ws):
+            num = num + z[k] * b
+            den -= z[k] * w
+        return num / den
+
+    fs = [np.ascontiguousarray(np.asarray(f, dtype=float).T) for f in forcings]
+    xs, r, _ = fluid._renewal(grid, list(zip(fs, kernels)), rate)
+    if residual is not None:
+        for f, ker, x in zip(fs, kernels, xs):
+            conv = conv_full(ker, r.T, grid[1] - grid[0]).T
+            assert _sup(x - f, conv) <= residual
+    return [x.T for x in xs], r.T
+
+
 def test_linear_volterra_zero_coupling_returns_forcing():
     grid = uniform_grid(2.0, 0.01)
     f = np.sin(grid)
     ker = survival_kernel(Exponential(1.0), grid)
-    xs, r = solve_linear_volterra([f], [ker], [0.0], [1.0], grid)
+    zero = ConvKernel(cont=0.0 * ker.cont, atoms=())  # c = 0 folded into the kernel
+    xs, r = _linear_volterra([f], [zero], [1.0], grid)
     assert _sup(xs[0], f) == 0.0
     assert _sup(r, f) == 0.0
 
@@ -394,10 +433,8 @@ def test_linear_volterra_zero_coupling_returns_forcing():
 def test_linear_volterra_exponential_solution():
     # x(t) = 1 + c int_0^t x(s) ds has solution e^{ct}; trapezoid error O(dt^2)
     grid = uniform_grid(2.0, 0.002)
-    ones = ConvKernel(cont=np.ones(len(grid)), atoms=())
-    xs, _ = solve_linear_volterra(
-        [np.ones(len(grid))], [ones], [0.7], [1.0], grid, residual_check=True
-    )
+    c_ones = ConvKernel(cont=np.full(len(grid), 0.7), atoms=())
+    xs, _ = _linear_volterra([np.ones(len(grid))], [c_ones], [1.0], grid, residual=1e-10)
     assert _sup(xs[0], np.exp(0.7 * grid)) < 1e-5
 
 
@@ -412,9 +449,9 @@ def test_linear_volterra_2d_against_picard():
     K = np.exp(-grid)
     a, c = 0.4, 0.8
     # phi = a + x + c int (z phi + w psi) ds, psi = y + c int K(t-s)(z phi + w psi)(s) ds
-    ones = ConvKernel(cont=np.ones(n), atoms=())
-    (phi, psi), _ = solve_linear_volterra(
-        [a + x, y], [ones, K], [c, c], [z, w], grid, residual_check=True
+    (phi, psi), _ = _linear_volterra(
+        [a + x, y], [ConvKernel(cont=np.full(n, c)), ConvKernel(cont=c * K)], [z, w], grid,
+        residual=1e-10,
     )
 
     # fixed-point iteration on the same trapezoid discretization
@@ -446,27 +483,32 @@ def test_linear_volterra_batch_matches_flat():
     rng = np.random.default_rng(7)
     ker1 = survival_kernel(Gamma(2.0, 2.0), grid)
     ker2 = survival_kernel(Exponential(1.0), grid)
+    # the coefficients 1.2 and -0.5 folded into the kernels
+    kers = [ConvKernel(cont=1.2 * ker1.cont), ConvKernel(cont=-0.5 * ker2.cont)]
     fb1 = rng.normal(size=(4, n))
     fb2 = rng.normal(size=(4, n))
     z = 0.3 - 0.2 * grid
-    xs, r = solve_linear_volterra([fb1, fb2], [ker1, ker2], [1.2, -0.5], [z, 0.4], grid)
+    xs, r = _linear_volterra([fb1, fb2], kers, [z, 0.4], grid)
     assert xs[0].shape == (4, n) and r.shape == (4, n)
     for p in range(4):
-        xf, rf = solve_linear_volterra(
-            [fb1[p], fb2[p]], [ker1, ker2], [1.2, -0.5], [z, 0.4], grid
-        )
+        xf, rf = _linear_volterra([fb1[p], fb2[p]], kers, [z, 0.4], grid)
         assert _sup(xs[0][p], xf[0]) < 1e-13
         assert _sup(xs[1][p], xf[1]) < 1e-13
         assert _sup(r[p], rf) < 1e-13
 
 
-def test_linear_volterra_shape_validation():
-    grid = uniform_grid(1.0, 0.01)
-    ker = survival_kernel(Exponential(1.0), grid)
-    with pytest.raises(ValueError):
-        solve_linear_volterra([np.ones(5)], [ker], [1.0], [1.0], grid)
-    with pytest.raises(ValueError):
-        solve_linear_volterra([np.ones(len(grid))], [ker], [1.0, 2.0], [1.0], grid)
+@pytest.mark.parametrize("paths, n", [(2000, 161), (16, 1001)])
+def test_conv_full_row_blocks_change_no_bit(paths, n, monkeypatch):
+    # each row is its own FFT: one block, three rows a block and the default
+    # blocks give the same bits
+    grid = uniform_grid((n - 1) * 0.05, 0.05)
+    ker = survival_kernel(Deterministic(0.5), grid)
+    ker = ConvKernel(cont=ker.cont + np.exp(-grid), atoms=ker.atoms)
+    q = np.random.default_rng(5).standard_normal((paths, n))
+    default = conv_full(ker, q, 0.05)
+    for doubles in (q.size, 3 * n):
+        monkeypatch.setattr(fluid, "_CONV_ROW_DOUBLES", doubles)
+        np.testing.assert_array_equal(conv_full(ker, q, 0.05), default)
 
 
 def test_conv_full_exact_for_constant_rate():

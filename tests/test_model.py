@@ -2,6 +2,7 @@
 model from epilim.model and import nothing of the simulator."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,43 @@ def test_every_module_level_import_is_used(tmp_path):
     assert _unused_imports(probe) == ["probe.py:1 os", "probe.py:2 c"]
     found = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
     assert found == []
+
+
+def _private_defs(tree: ast.Module) -> list:
+    """The private module-level functions and classes of a module, and the
+    private methods of its classes: (name, node)."""
+    out = []
+    for node in tree.body:
+        defs = [node]
+        if isinstance(node, ast.ClassDef):
+            defs += node.body
+        out += [(d.name, d) for d in defs
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                and d.name.startswith("_") and not d.name.endswith("__")]
+    return out
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, as a name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) or isinstance(n, ast.Attribute))
+
+
+def _dead_private_code(paths) -> list:
+    """Private definitions that no file of paths reads outside their own body."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return sorted(f"{path.name}:{node.lineno} {name}" for path, tree in trees.items()
+                  for name, node in _private_defs(tree) if reads[name] <= _reads(node)[name])
+
+
+def test_every_private_definition_is_read(tmp_path):
+    probe = tmp_path / "probe.py"  # the guard sees dead code, recursion included
+    probe.write_text("def _dead(): pass\ndef _live(): pass\ndef _loop(): _loop()\n"
+                     "class C:\n    def _m(self): pass\n    def __init__(self): _live()\n")
+    assert _dead_private_code([probe]) == ["probe.py:1 _dead", "probe.py:3 _loop",
+                                           "probe.py:5 _m"]
+    assert _dead_private_code(sorted(SRC.glob("*.py"))) == []
 
 
 def test_model_names_resolve_where_they_did():

@@ -41,7 +41,7 @@ from epilim.distributions import (
     uniform_grid,
 )
 from epilim.fclt import DRIVER_IDS, DriverCovariance, sample_drivers, solve_fclt_path
-from epilim.fluid import ConvKernel, conv_full, solve_fluid, solve_linear_volterra
+from epilim.fluid import ConvKernel, conv_full, solve_fluid
 
 # deterministic and fast: the suite's wall-clock budget covers these too
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -269,29 +269,45 @@ def _volterra_systems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dt = draw(st.sampled_from([1e-3, 2e-3]))
     paths = draw(st.sampled_from([(), (1,), (3,)]))
-    forcings, kernels, coefs, weights = [], [], [], []
+    terms, weights = [], []
     for _ in range(draw(st.integers(1, 3))):
-        forcings.append(rng.standard_normal(paths + (n,)) * draw(st.sampled_from([1e-3, 1.0])))
+        forcing = rng.standard_normal(paths + (n,)) * draw(st.sampled_from([1e-3, 1.0]))
         cont = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0, 3.0]))
         lags = draw(st.lists(st.integers(1, n + 2), max_size=3))
         if draw(st.booleans()):
             lags = [0] + lags
-        kernels.append(ConvKernel(cont=cont, atoms=tuple(
-            (lag, float(rng.uniform(-1.0, 1.0))) for lag in lags)))
-        coefs.append(draw(st.floats(-1.0, 1.0)))
+        atoms = [(lag, float(rng.uniform(-1.0, 1.0))) for lag in lags]
+        c = draw(st.floats(-1.0, 1.0))  # the term's coefficient, folded into its kernel
+        kernel = ConvKernel(cont=c * cont, atoms=tuple((lag, c * j) for lag, j in atoms))
+        terms.append((np.ascontiguousarray(forcing.T), kernel))  # time-major, as _renewal steps
         weights.append(rng.uniform(-1.0, 1.0, n) if draw(st.booleans())
-                       else draw(st.floats(-1.0, 1.0)))
-    return forcings, kernels, coefs, weights, uniform_grid((n - 1) * dt, dt)
+                       else np.full(n, draw(st.floats(-1.0, 1.0))))
+    return terms, weights, uniform_grid((n - 1) * dt, dt)
+
+
+def _linear_rate(weights):
+    """The rate r = sum_i z_i X_i, with X_i = bases[i] + ws[i] r solved
+    exactly at each step."""
+    zs = [z.tolist() for z in weights]
+
+    def rate(k, bases, ws):
+        num, den = 0.0, 1.0
+        for z, b, w in zip(zs, bases, ws):
+            num = num + z[k] * b
+            den -= z[k] * w
+        return num / den
+
+    return rate
 
 
 @_SETTINGS
 @given(_volterra_systems())
 def test_blocked_history_matches_direct_sums(case):
-    xs, r = solve_linear_volterra(*case)
-    with mock.patch.object(fluid, "_renewal", _direct_renewal):
-        ref_xs, ref_r = solve_linear_volterra(*case)
+    terms, weights, grid = case
+    xs, r, _ = fluid._renewal(grid, terms, _linear_rate(weights))
+    ref_xs, ref_r, _ = _direct_renewal(grid, terms, _linear_rate(weights))
     for got, ref in zip(xs + [r], ref_xs + [ref_r]):
-        assert got.shape == ref.shape == case[0][0].shape
+        assert got.shape == ref.shape == terms[0][0].shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
