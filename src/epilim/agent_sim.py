@@ -8,6 +8,9 @@ an exponential draw; a time-tabulated rate is handled by thinning against
 its maximum. No time discretization anywhere. Scheduled events win ties with
 a candidate and go in code order among themselves; a candidate is drawn
 before each of them while S * I > 0, so that order can change later draws.
+The loop has one branch per kind of event: a pop from either heap, or an
+accepted infection. New infections read their periods from one pool per
+stage; the stages of a block of infections are drawn together.
 
 The loop keeps the paper's epoch representation: it tracks only S and I,
 which set the infection rate, and the infection epochs. Each count is a sum
@@ -169,15 +172,20 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
 
     def new_block(k):
         blocks.append(_periods(new_law, rng, k, stages))
-        return blocks[-1].T.tolist()
+        return blocks[-1][0].tolist()
 
-    new_draw = _pool(new_block, 512)
+    # one pool per stage; the second reads row 1 of the block the first has
+    # just drawn, so the two stay in step and it takes nothing from the rng
+    draw1 = _pool(new_block, 512)
+    two = stages == 2
+    if two:
+        draw2 = _pool(lambda k: blocks[-1][1].tolist(), 512)
     # Python floats: faster than numpy scalars in the loop, and a rate too
     # small for the next candidate time gives inf without a warning
     edraw = _pool(lambda k: rng.exponential(size=k).tolist())
-    lam_const = spec.lam_constant()
     lam_max = spec.lam_max()
-    if lam_const is None:
+    thin = spec.lam_constant() is None
+    if thin:
         udraw = _pool(lambda k: rng.uniform(size=k).tolist())
         lam_at = spec.lam.at
 
@@ -194,26 +202,33 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
         si = S * I
         t_cand = t + edraw() * n / (lam_max * si) if si and lam_max else INF
         # ties go to the scheduled event, and between codes to the lower one
-        t_sched, h, ds, di = (a, ha, dsa, dia) if a <= b else (b, hb, dsb, dib)
-        if t_sched <= t_cand:
-            if t_sched > t_end:
+        if a <= b:
+            if a <= t_cand:
+                if a > t_end:
+                    break
+                t = pop(ha)
+                S += dsa
+                I += dia
+                continue
+        elif b <= t_cand:
+            if b > t_end:
                 break
-            t = pop(h)
-        else:
-            if t_cand > t_end:
-                break
-            t = t_cand
-            if lam_const is None and udraw() * lam_max > lam_at(t):
-                continue  # thinned candidate, state unchanged
-            tau(t)
-            d = new_draw()
-            tx = t + d[0]
-            push(ha, tx)
-            if stages == 2:
-                push(hb, tx + d[1])
-            ds, di = dsi, dii
-        S += ds
-        I += di
+            t = pop(hb)
+            S += dsb
+            I += dib
+            continue
+        if t_cand > t_end:
+            break
+        t = t_cand
+        if thin and udraw() * lam_max > lam_at(t):
+            continue  # thinned candidate, state unchanged
+        tau(t)
+        tx = t + draw1()
+        push(ha, tx)
+        if two:
+            push(hb, tx + draw2())
+        S += dsi
+        I += dii
 
     # the new infections' transition times, summed in the loop's order:
     # tau, tau + d0, (tau + d0) + d1

@@ -433,25 +433,36 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     fluid's equations on its own spec, grid and kernel table, with initial
     masses (0, ihat0, ehat0), the drivers added to the forcings, and the
     rate lam S I replaced by lam (Sbar Ihat + Ibar Shat). drivers maps
-    driver ids to (paths, n) or (n,) arrays on the fluid grid; only the ids
-    in the kind's forcings are read. ihat0/ehat0 are the initial
-    fluctuation values (scalars or per-path).
+    driver ids to (paths, n) or (n,) arrays on the fluid grid, an (n,)
+    array being one path; only the ids in the kind's forcings are read, and
+    they must share one number of paths. ihat0/ehat0 are the initial
+    fluctuation values (scalars or one per path).
     """
     spec = _model_spec(fluid)
     grid = fluid.grid
     kind = spec.kind
     forced = _FORCED[kind]
+    n = len(grid)
     flat = True
     ds = {}
     for name in dict.fromkeys(d.lstrip("-") for ids in forced.values() for d in ids):
         if name not in drivers:
             raise ValueError(f"driver {name!r} is required for {kind}")
         arr = np.asarray(drivers[name], dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+            raise ValueError(f"driver {name!r} has shape {arr.shape}, not ({n},) or (paths, {n})")
         flat = flat and arr.ndim == 1
         ds[name] = arr if arr.ndim == 2 else arr[None, :]
+    (first, d0), *others = ds.items()
+    paths = len(d0)
+    for name, arr in others:
+        if len(arr) != paths:
+            raise ValueError(f"driver {name!r} has {len(arr)} paths, driver {first!r} {paths}")
     i0v = np.asarray(ihat0, dtype=float).reshape(-1, 1)
     e0v = np.asarray(ehat0, dtype=float).reshape(-1, 1)
-    flat = flat and i0v.size == 1 and e0v.size == 1
+    for name, v in (("ihat0", i0v), ("ehat0", e0v)):
+        if len(v) not in (1, paths):
+            raise ValueError(f"{name} has {len(v)} values for {paths} driver paths")
 
     terms, s0, cs, rest = _equations(spec, grid, fluid.kernels, 0.0, i0v, e0v)
     rest = {name: fk for name, fk in rest.items() if name in forced}  # FcltPath has no L

@@ -439,12 +439,21 @@ _PINNED_RUNS = {
                                  h=JointDurationDist(g=Exponential(1.0), f=Deterministic(2.0))),
                        800, 10.0, 0.05, 36),
     "seir_tie_through_zero": (_ZERO_TIE_SEIR, 1000, 6.0, 0.05, 37),
+    "sirs_random_stages": (_WORKER_SPECS["SIRS"], 2000, 8.0, 0.05, 38),
+    "seir_tabulated_many": (_WORKER_SPECS["SEIR"], 10_000, 8.0, 0.05, 39),
 }
 
-# sha256 of each run's path and event log. All but the last were recorded
+# runs whose new infections use up more than two 512-draw period blocks, with
+# a random law at both stages, so a stage pool that fell out of step with its
+# block would change their digests
+_BLOCK_CROSSING = ("sirs_random_stages", "seir_tabulated_many")
+
+# sha256 of each run's path and event log. The first seven were recorded
 # with the earlier event loop, one heap of (time, id, code) entries, and the
-# loop with one heap per code gives the same. The last is where the two
-# loops differ; it was recorded with the heap per code.
+# loop with one heap per code gives the same. seir_tie_through_zero is where
+# the two loops differ; it was recorded with the heap per code. The two
+# block-crossing runs were recorded while each infection still read both of
+# its periods from one list, before the pool per stage.
 _PINNED_DIGESTS = {
     "lam_zero": "4c287441afe3b1f93f90e0d1fb1c848b0e781269be315d0790452145be7e4f31",
     "seir_deterministic_ties": "93bc3863c90d3869a5d0034ba0d3bfc5afd5f781a3f97c509f35b03116dec86b",
@@ -454,6 +463,8 @@ _PINNED_DIGESTS = {
     "sirs_no_immune": "2759950b1c9ce8fd377a08e94737f6fb8de6568d2514100f82b60950128c39a9",
     "sis_deterministic": "9605c71024068c00e0eeae4ea4981413040fb4f7025884ad6b244c9b23bc1b7c",
     "seir_tie_through_zero": "3fbceb1c35a24e0308200050a22d8beae8dfb95bcfac7a9f09d008a18b50b2d2",
+    "sirs_random_stages": "960b20dfbb912c876d7c6c48bda9cc417f912acb0a7addd194f07882241e5e82",
+    "seir_tabulated_many": "04dced99bf6124d4841be52d58a3d3b46f73ec95e0ea4477dc781c2ccf1e7491",
 }
 
 
@@ -473,4 +484,6 @@ def test_stream_is_pinned(name):
     spec, n, horizon, dt, seed = _PINNED_RUNS[name]
     path, log = simulate(spec, n, horizon, dt, seed=seed)
     assert len(log) > 0
+    if name in _BLOCK_CROSSING:
+        assert np.count_nonzero(log.codes == INFECT) > 1024
     assert _stream_digest(path, log) == _PINNED_DIGESTS[name]

@@ -694,6 +694,43 @@ def test_solve_validation():
     assert np.max(np.abs(out.Ehat + out.Ihat + out.Rhat + out.Shat)) < 1e-10
 
 
+def _mixed_paths_seir():
+    spec, fl, grid = _seir_setup()
+    dr = _zero_drivers("SEIR", len(grid))
+    dr["E0"] = np.zeros((3, len(grid)))
+    return fl, dr, {}
+
+
+def _short_sir_driver():
+    spec, fl, grid = _sir_setup(dt=0.1)
+    dr = _zero_drivers("SIR", len(grid))
+    dr["I1"] = np.zeros(len(grid) - 1)
+    return fl, dr, {}
+
+
+def _too_many_ihat0():
+    spec, fl, grid = _sir_setup(dt=0.1)
+    return fl, {d: np.zeros((3, len(grid))) for d in DRIVER_IDS["SIR"]}, {"ihat0": np.ones(5)}
+
+
+def _three_axis_driver():
+    spec, fl, grid = _sir_setup(dt=0.1)
+    dr = _zero_drivers("SIR", len(grid))
+    dr["R1"] = np.zeros((2, 3, len(grid)))
+    return fl, dr, {}
+
+
+@pytest.mark.parametrize("case, named", [(_mixed_paths_seir, "'E0' has 3 paths"),
+                                         (_short_sir_driver, r"'I1' has shape \(20,\)"),
+                                         (_too_many_ihat0, "ihat0 has 5 values for 3"),
+                                         (_three_axis_driver, r"'R1' has shape \(2, 3, 21\)")])
+def test_solve_refuses_drivers_of_mismatched_shapes(case, named):
+    # each of these used to fail inside numpy, with a message naming no driver
+    fl, dr, hat0 = case()
+    with pytest.raises(ValueError, match=named):
+        solve_fclt_path(dr, fl, **hat0)
+
+
 @pytest.mark.parametrize("setup", [_seir_setup, _sirs_setup])
 def test_fclt_run_tabulates_the_kernels_once(setup, monkeypatch):
     # fluid -> driver law -> samples -> path solve: the path solve reads the
