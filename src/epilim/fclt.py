@@ -16,8 +16,9 @@ read by the exact atom rule. The sampler draws each block from one factor
 of that same build, so the sampled law is this law and the additive
 identities between drivers hold exactly by construction. Also the solve
 for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its runner
-with the linearized rate and the drivers added to the forcings, and the
-Markovian SIS SDE cross-check, whose rates come from the spec.
+with the linearized rate and the drivers added to the forcings (each
+sub-block one exact triangular solve over every path), and the Markovian
+SIS SDE cross-check, whose rates come from the spec.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .fluid import (
     _equations,
     _markovian_rates,
     _run_system,
+    _solve_lower,
+    _step_matrix,
     cdf_kernel,
     table_kernel,
 )
@@ -436,7 +439,9 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     driver ids to (paths, n) or (n,) arrays on the fluid grid, an (n,)
     array being one path; only the ids in the kind's forcings are read, and
     they must share one number of paths. ihat0/ehat0 are the initial
-    fluctuation values (scalars or one per path).
+    fluctuation values (scalars or one per path). A node where the
+    linearized step is singular, 1 - sum_i z_i w_i = 0 with z_i the rate's
+    weight on term i and w_i its implicit weight, raises ValueError.
     """
     spec = _model_spec(fluid)
     grid = fluid.grid
@@ -477,19 +482,21 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     # q = lam S I linearized: qhat = sum_i z_i X_i with z_i = lam Ibar c_i,
     # plus lam Sbar for X_0 = Ihat
     lam = spec.lam_on_grid(grid)
-    zs = [lam * fluid.I * c for c in cs]
-    zs[0] = zs[0] + lam * fluid.S
-    zs = [z.tolist() for z in zs]
+    zs = np.multiply.outer(cs, lam * fluid.I)
+    zs[0] += lam * fluid.S
 
-    def rate(k, bases, ws):
-        # X_i = bases[i] + ws[i] qhat is linear in qhat: the step is exact
-        num, den = 0.0, 1.0
-        for z, b, w in zip(zs, bases, ws):
-            num = num + z[k] * b
-            den -= z[k] * w
-        return num / den
+    def solve(u, e, G, T):
+        # X_i = G_i + T_i qhat is linear in qhat: one triangular solve is exact
+        z = zs[:, u:e]
+        # sum_i z_i G_i, Fortran-ordered as LAPACK reads it
+        rhs = np.einsum("ia,ia...->a...", z, G, out=np.empty(G.shape[:0:-1]).T)
+        qhat, zero = _solve_lower(_step_matrix(z, T), rhs)
+        if zero is not None:
+            raise ValueError(f"the linearized step at node {u + zero} (t = {grid[u + zero]:g}) "
+                             "is singular: 1 - sum_i z_i w_i = 0")
+        return qhat
 
-    hats, _, _ = _run_system(grid, (terms, s0, cs, rest), rate, forcing)
+    hats, _, _ = _run_system(grid, (terms, s0, cs, rest), solve, forcing)
     out = [hats[c] if c in hats else np.zeros_like(hats["I"]) for c in "SEIR"]
     if flat:
         out = [x[0] for x in out]

@@ -14,16 +14,23 @@ Discretization: uniform grid, product-trapezoidal convolution. Kernel jump
 discontinuities are carried separately as (lag, jump) atoms whose
 contribution is a shifted cumulative of the rate path, so deterministic
 period laws stay exact up to the trapezoid order. The kernel value at lag 0
-enters each step implicitly; the within-step scalar fixed point is iterated
-to 1e-12.
+enters each step implicitly.
+
+The step loop solves the unknown rates of each sub-block of _SUB nodes
+together (P. Linz, Analytical and Numerical Methods for Volterra
+Equations, SIAM 1985): there each term is X = G + T q, with G known and T
+one lower-triangular Toeplitz matrix per term and solve. The fluid takes
+Newton steps to 1e-12, each one triangular solve (LAPACK dtrtrs); the
+fluctuation limit's linear step is one exact triangular solve. A step too
+stiff for the grid (see _solve_fluid_on) halves the grid.
 
 Convolutions of a fully known path (conv_full, and the kernel tabulation in
 distributions) use FFT, O(N log N). The stepper's history sums, whose rate
-is only known up to the current node, are split over dyadic squares of the
-lower triangle (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+is only known up to the current sub-block, are split over dyadic squares of
+the lower triangle (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
 (1985) 532-541): each square is one FFT once its sources are known, and only
-sources in the current block of _BLOCK nodes are summed directly at each
-step, O(N log^2 N) in all.
+sources in the current block of _BLOCK nodes are summed directly, by one
+product per sub-block, O(N log^2 N) in all.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dtrtrs
 
 from .distributions import (
     Deterministic,
@@ -155,120 +165,144 @@ def _cumtrapz(q, dt):
 
 
 _BLOCK = 256  # block of the near part: sources in the target's aligned block are summed directly
+_SUB = 64  # sub-block of the near part: its unknown rates are solved together
 
 
-class _StepKernel:
-    """One term of the step loop: its kernel's weight on the current rate,
-    its continuous history folded into the forcing, and its atoms.
+def _toeplitz(c, rows, cols, offset):
+    """The (rows, cols) array [a, x] = c[offset + a - x], 0 where that lag is
+    negative or past c: a copy of a sliding-window view of one padded vector."""
+    lags = offset + rows - 1 - np.arange(rows + cols - 1)
+    ok = (lags >= 0) & (lags < len(c))
+    pad = np.zeros(len(lags))
+    pad[ok] = c[lags[ok]]
+    return np.ascontiguousarray(sliding_window_view(pad, cols)[::-1])
+
+
+def _near_weights(ker: ConvKernel, dt: float, n: int):
+    """(known, t) of one term's near part on a grid of n nodes.
+
+    known[a, x] weighs the near source width - x nodes before node a of a
+    sub-block, at lag width + a - x; t is the sub-block's lower-triangular
+    Toeplitz matrix, with the near weights, the implicit weight of the
+    current node on the diagonal, and every atom at a lag below _SUB: an
+    atom of mass j at lag L weighs q(t_k - t_L) by j dt / 2 and the earlier
+    nodes by j dt, as the cumulative trapezoid does.
+    """
+    rows, c = min(n, _SUB), dt * np.asarray(ker.cont[:min(n, _BLOCK)], dtype=float)
+    width = max(1, (len(c) - 1) // _SUB * _SUB)  # the farthest start of a sub-block in its block
+    t = c[:rows].copy()
+    t[0] *= 0.5
+    for lag, j in ker.atoms:
+        if lag < rows:
+            t[lag] += 0.5 * dt * j
+            t[lag + 1:] += dt * j
+    return _toeplitz(c, rows, width, width), _toeplitz(t, rows, rows, 0)
+
+
+def _step_matrix(ds, ts):
+    """Id - sum_i diag(ds[i]) @ ts[i]: the lower-triangular matrix of a
+    sub-block's linearized step, with ds[i] the rate's derivative in X_i."""
+    mat = np.einsum("ia,iab->ab", ds, ts)
+    np.negative(mat, out=mat)
+    mat.ravel()[::len(mat) + 1] += 1.0
+    return mat
+
+
+def _solve_lower(mat, rhs):
+    """(x, node) with mat @ x = rhs for a lower-triangular mat, by one dtrtrs
+    that may write x over rhs: node is the index of mat's first zero
+    diagonal entry, None if it has none (x is then meaningless)."""
+    # mat.T is a Fortran-ordered upper triangle: LAPACK reads it without a copy
+    x, info = dtrtrs(mat.T, rhs, lower=0, trans=1, overwrite_b=1)
+    return x, (info - 1 if info > 0 else None)
+
+
+def _add_product(out, a, b):
+    """out += a @ b, in place and with no temporary of out's size: out and b
+    are C-ordered, (m,) and (L,) or (m, P) and (L, P), and a is (m, L). One
+    dgemm on their transposes, which are Fortran-ordered views."""
+    dgemm(1.0, b.reshape(len(b), -1).T, a.T, 1.0, out.reshape(len(out), -1).T, overwrite_c=1)
+
+
+def _renewal(grid, terms, solve):
+    """Step X_i(t) = f_i(t) + int_0^t K_i(t-s) q(s) ds across the grid.
+
+    terms is a list of (forcing, ConvKernel) pairs. Forcings are time-major:
+    (n,) for one path or (n, P) for a bundle. solve(u, e, G, T) returns q on
+    the nodes [u, e) given that X_i = G[i] + T[i] @ q there, with T a stack
+    of lower-triangular matrices; node 0 comes alone, with X(0) = f(0), and
+    then each _SUB-aligned sub-block. Returns (list of X_i, q, cumulative
+    trapezoid of q), all with the forcings' shape.
 
     The history sum dt * sum_{j<k} cont[k - j] p_j, with p the rate path
     under trapezoid weights (p_0 = q_0 / 2), splits over the dyadic squares
     of the lower triangle: the pair (j, k) lies in the square of the highest
     bit where j and k differ. Squares of side s >= _BLOCK form the far part,
-    which add_square folds into g = forcing + far part as soon as their
-    sources are known; the pairs left, whose j lies in k's _BLOCK-aligned
-    block, form the near part, weighted by near over lags _BLOCK, ..., 1.
-    """
-
-    __slots__ = ("cont", "g", "near", "atoms", "lag0", "w", "dt", "spectra")
-
-    def __init__(self, forcing, ker: ConvKernel, dt: float):
-        n = len(forcing)
-        self.cont = np.asarray(ker.cont, dtype=float)
-        tail = dt * self.cont[1:_BLOCK + 1]
-        self.near = np.zeros(_BLOCK)
-        self.near[_BLOCK - len(tail):] = tail[::-1]
-        # only long grids have far squares; atom-only kernels have no history
-        far = n > _BLOCK and bool(np.any(self.cont))
-        self.g = np.array(forcing, dtype=float) if far else forcing
-        self.spectra = {} if far else None
-        self.atoms = tuple((lag, j) for lag, j in ker.atoms if lag > 0)
-        self.lag0 = sum(j for lag, j in ker.atoms if lag == 0)
-        # implicit weight of q_k: half-cell of the lag-0 kernel value
-        self.w = float(0.5 * dt * (self.cont[0] + self.lag0))
-        self.dt = dt
-
-    def add_square(self, k, s, src):
-        """Add the square of sources [k - s, k) on targets [k, k + s) to g;
-        src is the rfft of p[k - s:k].T at length 2s."""
-        spec = self.spectra.get(s)
-        if spec is None:  # lags 1 .. 2s - 1
-            spec = self.spectra[s] = np.fft.rfft(self.dt * self.cont[1:2 * s], 2 * s)
-        out = np.fft.irfft(spec * src, 2 * s).T
-        target = self.g[k:k + s]
-        target += out[s - 1:s - 1 + len(target)]
-
-    def atom_sum(self, k, q, qcum):
-        """Contribution of the atoms from q[0..k-1]."""
-        v = 0.0
-        if self.lag0:
-            v += self.lag0 * (qcum[k - 1] + 0.5 * self.dt * q[k - 1])
-        for lag, j in self.atoms:
-            if lag <= k:
-                v += j * qcum[k - lag]
-        return v
-
-
-def _renewal(grid, terms, rate):
-    """Step X_i(t) = f_i(t) + int_0^t K_i(t-s) q(s) ds across the grid.
-
-    terms is a list of (forcing, ConvKernel) pairs. Forcings are time-major:
-    (n,) for one path or (n, P) for a bundle. rate(k, bases, ws) returns q
-    at node k given that X_i(t_k) = bases[i] + ws[i] * q(t_k). Returns
-    (list of X_i, q, cumulative trapezoid of q), all with the forcings' shape.
-
-    The history sums cost O(N log^2 N): each far square is one FFT of twice
-    its side, and each step's near part is one product over all terms.
+    added to X by FFTs of twice their side as soon as their sources are
+    known; the pairs left, whose j lies in k's _BLOCK-aligned block, form
+    the near part: one product per sub-block for the sources before it, and
+    the sub-block's own matrix T. Atoms add shifted cumulative trapezoids of
+    q. In all O(N log^2 N).
     """
     dt = grid_step(grid)
     n = len(grid)
-    shape = terms[0][0].shape
-    kers = [_StepKernel(f, K, dt) for f, K in terms]
-    ws = [ker.w for ker in kers]
-    far = [ker for ker in kers if ker.spectra is not None]
-    atomic = [(i, ker) for i, ker in enumerate(kers) if ker.lag0 or ker.atoms]
-    near = np.array([ker.near for ker in kers])
-    # one path steps in Python floats, stored as C doubles (a list of float
-    # objects would leave its allocator arenas behind), a bundle in rows
-    if len(shape) == 1:
-        rows, store = np.ndarray.tolist, lambda: array("d", bytes(8 * n))
-    else:
-        rows, store = list, lambda: np.zeros(shape)
-    p = np.zeros(shape)  # q with trapezoid weights, for the history sums
-    q, qcum = store(), store()
-    xs = [store() for _ in terms]
+    x = np.array([f for f, _ in terms], dtype=float)  # the forcings, then X, in place
+    near = [_near_weights(K, dt, n) for _, K in terms]
+    known, t = np.array([w[0] for w in near]), np.array([w[1] for w in near])
+    atoms = [(i, lag, j) for i, (_, K) in enumerate(terms) for lag, j in K.atoms if lag < n]
+    # only long grids have far squares; atom-only kernels have no history
+    far = [i for i, (_, K) in enumerate(terms) if n > _BLOCK and np.any(K.cont)]
+    spectra = {}
+    p = np.empty(x.shape[1:])  # q with trapezoid weights, for the history sums
+    qcum = np.zeros_like(p)
+    q0 = solve(0, 1, x[:, :1], np.zeros((len(terms), 1, 1)))[0]
+    p[0] = 0.5 * q0
+    q_last = q0
+    for u in [1, *range(_SUB, n, _SUB)]:
+        e = min(n, u - u % _SUB + _SUB)
+        kb = u - u % _BLOCK
+        if u == kb and far:  # a new block: its far part is complete once this square is in
+            s = u & -u
+            src = np.fft.rfft(p[u - s:u].T, 2 * s)
+            for i in far:
+                spec = spectra.get((i, s))
+                if spec is None:  # lags 1 .. 2s - 1
+                    spec = spectra[i, s] = np.fft.rfft(dt * terms[i][1].cont[1:2 * s], 2 * s)
+                out = np.fft.irfft(spec * src, 2 * s).T
+                x[i, u:u + s] += out[s - 1:s - 1 + min(s, n - u)]
+        G = x[:, u:e]  # forcing + far part, then + the known sources: G
+        if u > kb:
+            for g, a in zip(G, known[:, :e - u, -(u - kb):]):
+                _add_product(g, a, p[kb:u])
+        if atoms:
+            # the cumulative trapezoid of q up to t_k - t_L: known up to
+            # u - 1, and through q[u - 1] plus a half cell at every later lag
+            reach = qcum[u - 1] + 0.5 * dt * q_last
+            for i, lag, j in atoms:
+                lo, mid = max(0, lag - u), min(lag, e - u)
+                if lo < mid:
+                    G[i, lo:mid] += j * qcum[u + lo - lag:u + mid - lag]
+                G[i, mid:] += j * reach
+        ts = t[:, :e - u, :e - u]
+        q = p[u:e] = solve(u, e, G, ts)
+        for g, a in zip(G, ts):
+            _add_product(g, a, p[u:e])
+        # the cumulative trapezoid, summed node by node as np.cumsum does
+        c = qcum[u:e]
+        np.add(q[1:], q[:-1], out=c[1:])
+        np.add(q[:1], q_last, out=c[:1])
+        c *= 0.5 * dt
+        c[0] += qcum[u - 1]
+        np.cumsum(c, axis=0, out=c)
+        q_last = p[e - 1]
+    p[0] = q0
+    return list(x), p, qcum
 
-    block = [rows(ker.g[:_BLOCK]) for ker in kers]  # forcing + far part
-    bases = [b[0] for b in block]
-    q[0] = rate(0, bases, [0.0] * len(terms))
-    p[0] = 0.5 * q[0]
-    for x, b in zip(xs, bases):
-        x[0] = b
-    for k in range(1, n):
-        m = k % _BLOCK
-        if m:
-            nv = rows(near[:, _BLOCK - m:].dot(p[k - m:k]))
-            bases = [b[m] + v for b, v in zip(block, nv)]
-        else:  # a new block: its far part is complete once this square is in
-            s = k & -k
-            src = np.fft.rfft(p[k - s:k].T, 2 * s)
-            for ker in far:
-                ker.add_square(k, s, src)
-            block = [rows(ker.g[k:k + _BLOCK]) for ker in kers]
-            bases = [b[0] for b in block]
-        for i, ker in atomic:
-            bases[i] = bases[i] + ker.atom_sum(k, q, qcum)
-        qk = rate(k, bases, ws)
-        q[k] = p[k] = qk
-        qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + qk)
-        for x, b, w in zip(xs, bases, ws):
-            x[k] = b + w * qk
-    return [np.asarray(x) for x in xs], np.asarray(q), np.asarray(qcum)
 
-
-def _run_system(grid, system, rate, forced=None):
+def _run_system(grid, system, solve, forced=None):
     """Run a system of _equations: step its terms with _renewal under the
-    rate closure, convolve the rest with the solved rate q, and close S.
+    sub-block solver (see _renewal), convolve the rest with the solved rate
+    q, and close S.
 
     forced(name, forcing) adds anything to a compartment's forcing; by
     default nothing. Returns ({compartment: path}, q, cumulative trapezoid
@@ -278,10 +312,11 @@ def _run_system(grid, system, rate, forced=None):
     forced = forced or (lambda name, f: f)
     fs = [forced(name, f) for name, f, _ in terms]
     shape = np.broadcast_shapes(*(np.shape(f) for f in fs))
-    # time-major (n,) or (n, P), so that a step reads one row of the history
+    # time-major (n,) or (n, P), so that a sub-block is a run of rows; the
+    # results are their transposes, Fortran-ordered for a bundle
     fs = [np.ascontiguousarray(np.broadcast_to(f, shape).T) for f in fs]
-    xs, q, qcum = _renewal(grid, [(f, K) for f, (_, _, K) in zip(fs, terms)], rate)
-    xs, q = [np.ascontiguousarray(x.T) for x in xs], np.ascontiguousarray(q.T)
+    xs, q, qcum = _renewal(grid, [(f, K) for f, (_, _, K) in zip(fs, terms)], solve)
+    xs, q = [x.T for x in xs], q.T
     out = {name: x for (name, _, _), x in zip(terms, xs)}
     dt = grid_step(grid)
     for name, (f, K) in rest.items():
@@ -302,8 +337,12 @@ class FluidSolution:
 
     A is the cumulative infection fraction and L the cumulative onset
     fraction (equal to A except for SEIR). diagnostics records the grid
-    step actually used, internal halvings, fixed-point iteration counts,
-    and probe residuals of the discretized equations. spec is the model
+    step actually used, internal halvings, the most Newton steps that one
+    sub-block took (max_iterations; the delay form counts its fixed-point
+    iterations per node), the largest |1 - J_kk| of the Newton
+    Jacobians (max_contraction: a halving comes past _TOL ** (1 /
+    _MAX_ITER), about 0.251), and the worst probe residual of the
+    discretized equations over the stepped terms. spec is the model
     solved, by every solver here. kernels is the (h, h0) table of the solve
     on this grid; None for SIS/SIR, ODE and delay solves.
     """
@@ -372,10 +411,7 @@ def solve_fluid(spec: ModelSpec, grid) -> FluidSolution:
                 diagnostics=dict(sol.diagnostics, halvings=halving, dt=dt),
                 kernels=sol.kernels and tabulate_kernels(spec.h, spec.residual_joint(), grid))
         return sol
-    raise RuntimeError(
-        f"within-step fixed point failed to converge after {_MAX_HALVINGS} grid "
-        f"halvings (last residual {last.args[0]:.3e})"
-    )
+    raise RuntimeError(f"the near steps failed after {_MAX_HALVINGS} grid halvings: {last}")
 
 
 def _equations(spec, grid, kt, unit, i0, e0):
@@ -430,49 +466,58 @@ def _equations(spec, grid, kt, unit, i0, e0):
 
 def _solve_fluid_on(spec, grid):
     """One fluid solve without halving: the renewal system of _equations
-    with the rate q = lam S I, a scalar fixed point at each step."""
+    with the rate q = lam S I, by Newton steps on each sub-block."""
     dt = float(grid[1] - grid[0])
     n = len(grid)
-    lam = spec.lam_on_grid(grid).tolist()
+    lam = spec.lam_on_grid(grid)
     kt = tabulate_kernels(spec.h, spec.residual_joint(), grid) if spec.h is not None else None
     terms, s0, cs, rest = _equations(spec, grid, kt, 1.0, spec.i0, spec.e0)
+    cs = np.array(cs)
+    # Newton converges where a node's scalar fixed point q = lam S I, of
+    # contraction factor |1 - J_kk|, would not reach _TOL in _MAX_ITER
+    # iterations. A step whose factor passes this bound is too stiff for
+    # the grid all the same, and the grid is halved.
+    picard = _TOL ** (1.0 / _MAX_ITER)
+    stats = {"steps": 0, "contraction": 0.0}
+    q_last = 0.0
 
-    max_it = 0
-    q_prev = 0.0
-    iterations, isfinite = range(1, _MAX_ITER + 1), math.isfinite
-
-    def rate(k, bases, ws):
-        nonlocal max_it, q_prev
-        ib, iw = bases[0], ws[0]
-        sb, sw = s0, 0.0
-        for c, b, w in zip(cs, bases, ws):
-            sb += c * b
-            sw += c * w
-        lam_k = lam[k]
-        if k == 0:
-            q_prev = lam_k * sb * ib
-            return q_prev
-        # _fixed_point_scalar inlined, the step loop's hot spot: the same
-        # rule, delta <= _TOL * max(1, |q|), in two comparisons
-        qk = q_prev
-        for it in iterations:
-            qn = lam_k * (sb + sw * qk) * (ib + iw * qk)
-            if not isfinite(qn):
-                raise _StepDiverged(float("inf"))
-            delta = abs(qn - qk)
-            if delta <= _TOL or delta <= _TOL * abs(qn):
+    def solve(u, e, G, T):
+        nonlocal q_last
+        lk = lam[u:e]
+        q = np.full(e - u, q_last)
+        for it in range(1, _MAX_ITER + 1):
+            xs = G + T @ q
+            li = lk * xs[0]
+            ls = lk * (cs @ xs + s0)
+            # dq/dX_i of q = lam S I, with S = s0 + sum_i cs[i] X_i and I = X_0
+            ds = np.multiply.outer(cs, li)
+            ds[0] += ls
+            jac = _step_matrix(ds, T)
+            step, zero = _solve_lower(jac, ls * xs[0] - q)
+            if zero is not None:
+                raise _StepDiverged(f"a singular Newton step at node {u + zero}")
+            q += step
+            # |step| <= _TOL max(1, |q|), false for nan: a step that
+            # overflows runs out of iterations
+            size = np.abs(step)
+            if size.max() <= _TOL or np.all(size <= _TOL * np.maximum(1.0, np.abs(q))):
                 break
-            qk = qn
         else:
-            raise _StepDiverged(delta)
-        max_it = max(max_it, it)
-        q_prev = qn
-        return qn
+            raise _StepDiverged(f"Newton steps of {np.max(np.abs(step)):.3e} after "
+                                f"{_MAX_ITER} steps at node {u}")
+        # from the last Jacobian, taken within _TOL of the solution
+        contraction = float(np.max(np.abs(1.0 - np.diagonal(jac))))
+        if contraction > picard:
+            raise _StepDiverged(f"a step contraction of {contraction:.3f} (above "
+                                f"{picard:.3f}) at node {u}")
+        stats["steps"] = max(stats["steps"], it)
+        stats["contraction"] = max(stats["contraction"], contraction)
+        q_last = q[-1]
+        return q
 
     # Divergence is detected and handled, so silence transient overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        out, q, qcum = _run_system(grid, (terms, s0, cs, rest), rate)
-    _, forcing, ker = terms[0]
+        out, q, qcum = _run_system(grid, (terms, s0, cs, rest), solve)
 
     return FluidSolution(
         kind=spec.kind,
@@ -487,20 +532,24 @@ def _solve_fluid_on(spec, grid):
         diagnostics={
             "dt": dt,
             "halvings": 0,
-            "max_iterations": max_it,
-            "probe_residual": _probe_residual(out["I"], forcing, ker, q, dt),
+            "max_iterations": stats["steps"],
+            "max_contraction": stats["contraction"],
+            "probe_residual": max(_probe_residual(out[name], f, ker, q, dt)
+                                  for name, f, ker in terms),
         },
         kernels=kt,
     )
 
 
 def _probe_residual(x, forcing, ker, q, dt):
-    """Discretized-equation residual at a handful of probe nodes.
+    """Discretized-equation residual of one stepped term at a handful of
+    probe nodes.
 
     Each probe recomputes conv_full's value at its node from the whole rate
     path with one O(k) dot, independently of the stepper's history sums.
     """
     qc = _cumtrapz(q, dt)
+    forcing = np.broadcast_to(forcing, q.shape)
     worst = 0.0
     for k in np.unique(np.linspace(0, len(q) - 1, 9, dtype=int)):
         conv = dt * (ker.cont[k::-1] @ q[: k + 1]

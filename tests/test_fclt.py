@@ -1,6 +1,7 @@
 """Tests for the Gaussian limit machinery: driver covariances, joint
 sampling, the fluctuation path solves, and the Markovian SIS SDE check."""
 
+import dataclasses
 import hashlib
 import sys
 import tracemalloc
@@ -572,14 +573,14 @@ def _pinned_sampler_runs():
     }
 
 
-# sha256 of each run's sampled drivers, recorded with the sampler that
-# factored a cached copy of each block; sir_deterministic's again when the
-# one-stage W law began to add the atoms of F exactly
+# sha256 of each run's sampled drivers, recorded again when the fluid's
+# near steps became sub-block Newton solves (the fluid moved by about 1e-13,
+# and with it each block)
 _PINNED_SAMPLES = {
-    "seir_e0_i0": "a11b6c17e0cfab7f7bbcb80ebe561073204980154feca9d7f8ec36470a85cf3f",
-    "sir_deterministic": "9d6e0d1f800eeb30482da0f15b448d9893983edcba355bc6d41dd57e13d5e3eb",
-    "sirs_r0": "006888722915f75cafb2addc466e06cb6ae75c6dcb6f0fa00640b4b33c24dc1d",
-    "sis_i0": "29af2f5ee20ceebbc6beda7a6880e57a1e1bc4c876d4525ab8ed9b00a73f6d50",
+    "seir_e0_i0": "76cc05e29adcf29258849e77e9c9806390cfefb70a58a17e0b269cb74a16d241",
+    "sir_deterministic": "d4e147775a55826db8f2c0c11015382d468b20aeabf1738286219ef15834bc92",
+    "sirs_r0": "0afbeff83b039465ec571298c360726f64e8042cdecf3f2db81e6e15efcde9d4",
+    "sis_i0": "ec5e016fab2a8d84ad5c915cdf1fff4d809c2f5711f976086106401bcbb5f9c5",
 }
 
 
@@ -606,14 +607,14 @@ def _zero_drivers(kind, n):
 
 
 # sha256 of the four compartments of a 6-path solve with per-path ihat0 and
-# ehat0 and of a one-path solve, recorded while the fclt solve still ran
-# its own copy of the fluid's step; the drivers are seeded normals, not
-# sample_drivers draws, so only the solve is pinned
+# ehat0 and of a one-path solve, recorded when each sub-block became one
+# triangular solve; the drivers are seeded normals, not sample_drivers
+# draws, so only the solve (and the fluid it reads) is pinned
 _PINNED_SOLVES = {
-    "SIS": "7837999c7b78700fe5b65374f6589c714a93575af7a725916f86662562358ccb",
-    "SIR": "4a72aac47c04ef851cf2bbdbf23e901b9c3c88ad1014385bad70c9366cdeafc3",
-    "SEIR": "5cf706d09625a9ec1de75b5c788d07c2a2ac1b2965fcfb2df13212ed240b9357",
-    "SIRS": "63314c3ee38ba1ad4a2dc7f8375bc645476d6eec1722d3e49b235004a04ca7e0",
+    "SIS": "1e57bf1cb86889ee6dcab3f4e7b3cd6fa25cb8cfdbd4a9eaeda79f7e4ba43c58",
+    "SIR": "f210c2260b4b90224a3e8b2309f6d37d626d3122b278e5488a280f988fa79851",
+    "SEIR": "94c9cfa8b0ccd75a00b12d69f40786eb3fa3dfd73932f372f1109a1e1ab89276",
+    "SIRS": "7d86221a98b1e9dc828814f28bf5810dbd78856d003561d18708d3e0255b65cb",
 }
 
 
@@ -729,6 +730,21 @@ def test_solve_refuses_drivers_of_mismatched_shapes(case, named):
     fl, dr, hat0 = case()
     with pytest.raises(ValueError, match=named):
         solve_fclt_path(dr, fl, **hat0)
+
+
+@pytest.mark.parametrize("paths", [(), (3,)])
+def test_solve_refuses_a_singular_linear_step(paths):
+    # SIS with exponential periods at dt 1/8: z = lam (Sbar - Ibar) = 16 at
+    # node 5 meets w = dt / 2, so 1 - z w is exactly 0. A solve once filled
+    # its paths with inf and nan there, with a warning only.
+    spec = ModelSpec(kind="SIS", lam=2.0, i0=0.05, f=Exponential(1.0))
+    fl = solve_fluid(spec, uniform_grid(2.0, 0.125))
+    S, I = fl.S.copy(), fl.I.copy()
+    S[5], I[5] = 8.5, 0.5
+    bad = dataclasses.replace(fl, S=S, I=I)
+    drivers = {d: np.ones(paths + (len(S),)) for d in ("I0", "I1")}
+    with pytest.raises(ValueError, match=r"node 5 \(t = 0.625\) is singular"):
+        solve_fclt_path(drivers, bad)
 
 
 @pytest.mark.parametrize("setup", [_seir_setup, _sirs_setup])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_triangular
 
 from epilim import fluid
 from epilim.agent_sim import ModelSpec, TabulatedRate
@@ -343,6 +344,36 @@ def test_probe_and_diagnostics():
     assert a.diagnostics["dt"] == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("kind, probed", [("SIS", ["I"]), ("SIR", ["I", "S"]),
+                                           ("SIRS", ["I", "R"])])
+def test_probe_covers_every_stepped_term(kind, probed, monkeypatch):
+    h = JointDurationDist(g=Exponential(1.0), f=Uniform(0.5, 1.5))
+    spec = ModelSpec(kind=kind, lam=1.5, i0=0.05, **({"h": h} if kind == "SIRS" else
+                                                     {"f": Gamma(2.0, 2.0)}))
+    seen = []
+    probe = fluid._probe_residual
+
+    def recorded(x, *args):
+        seen.append((x, probe(x, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fluid, "_probe_residual", recorded)
+    sol = solve_fluid(spec, uniform_grid(6.0, 0.01))
+    assert [next(c for c in "SEIR" if getattr(sol, c) is x) for x, _ in seen] == probed
+    assert sol.diagnostics["probe_residual"] == max(r for _, r in seen) < 1e-10
+    assert 0.0 < sol.diagnostics["max_contraction"] < 0.1
+
+
+def test_contraction_after_halvings_is_below_the_bound():
+    # lam 40, SIR: 0.5 lam dt (S - I) at t = 0 is 0.225 at dt 0.0125, the
+    # grid of three halvings, and twice that at the grid before
+    spec = ModelSpec(kind="SIR", lam=40.0, i0=0.05, f=Exponential(1.0))
+    sol = solve_fluid(spec, uniform_grid(1.0, 0.1))
+    assert sol.diagnostics["halvings"] == 3
+    bound = fluid._TOL ** (1.0 / fluid._MAX_ITER)
+    assert 0.2 < sol.diagnostics["max_contraction"] <= bound < 0.45
+
+
 def test_stiff_rate_triggers_halving_then_fails_honestly():
     spec = ModelSpec(kind="SIR", lam=40.0, i0=0.05, f=Exponential(1.0))
     sol = solve_fluid(spec, uniform_grid(1.0, 0.1))
@@ -399,20 +430,21 @@ def test_off_grid_point_mass_is_rejected():
 
 def _linear_volterra(forcings, kernels, weights, grid, residual=None):
     """X_i = f_i + int_0^t K_i(t-s) r(s) ds with r = sum_i z_i X_i, on the
-    fluid's step loop under a linear rate, whose step is exact. Forcings are
-    (n,) or (paths, n); returns (list of X_i, r) in their shape. With
-    residual, asserts the discretized equations hold to it."""
-    zs = [np.broadcast_to(z, grid.shape).tolist() for z in weights]
+    fluid's step loop under a linear rate, whose sub-block step is one exact
+    triangular solve. Forcings are (n,) or (paths, n); returns (list of X_i,
+    r) in their shape. With residual, asserts the discretized equations hold
+    to it."""
+    zs = [np.broadcast_to(z, grid.shape) for z in weights]
 
-    def rate(k, bases, ws):
-        num, den = 0.0, 1.0
-        for z, b, w in zip(zs, bases, ws):
-            num = num + z[k] * b
-            den -= z[k] * w
-        return num / den
+    def solve(u, e, G, T):
+        # r = sum_i z_i (G_i + T_i r) on the nodes [u, e)
+        cols = (slice(u, e),) + (None,) * (G[0].ndim - 1)
+        mat = np.eye(e - u) - sum(z[u:e, None] * t for z, t in zip(zs, T))
+        rhs = sum(z[cols] * g for z, g in zip(zs, G))
+        return solve_triangular(mat, rhs, lower=True)
 
     fs = [np.ascontiguousarray(np.asarray(f, dtype=float).T) for f in forcings]
-    xs, r, _ = fluid._renewal(grid, list(zip(fs, kernels)), rate)
+    xs, r, _ = fluid._renewal(grid, list(zip(fs, kernels)), solve)
     if residual is not None:
         for f, ker, x in zip(fs, kernels, xs):
             conv = conv_full(ker, r.T, grid[1] - grid[0]).T

@@ -3,8 +3,9 @@
 The FFT convolutions of fully known paths are checked against direct sums:
 conv_full against the product-trapezoid sum written out, the kernel
 tabulation against the same tabulation with np.convolve in place of the FFT,
-and the step loop's blocked history sums against a step loop whose history
-sums are direct dots. Over random models, the fluid conserves mass with
+and the step loop's blocked history sums and sub-block solves against a
+step loop that solves one node at a time from direct dots. Over random
+models, the fluid conserves mass with
 monotone cumulatives and the fluctuation limit's compartments sum to zero;
 the driver covariance is symmetric and positive semidefinite to rounding,
 each of its blocks is built bitwise symmetric, and sampled drivers keep
@@ -17,8 +18,10 @@ infection intensity read from that log starts at 0 and never decreases.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from epilim import ModelSpec, TabulatedRate, distributions, fclt, fluid
 from epilim.agent_sim import (
@@ -234,9 +237,11 @@ def test_replay_matches_path_and_intensity_is_monotone(case, n, seed):
     assert np.all(np.diff(lam_bar) >= 0.0)
 
 
-def _direct_renewal(grid, terms, rate):
-    """fluid._renewal with each step's history sum a direct dot over every
-    earlier node, O(N^2): the reference for the blocked sums."""
+def _direct_renewal(grid, terms, solve):
+    """fluid._renewal one node at a time, each step's history sum a direct
+    dot over every earlier node, O(N^2): the reference for the blocked sums
+    and the sub-block solves. solve gets each node as a 1 x 1 system, whose
+    matrix is the node's implicit weight."""
     dt = grid[1] - grid[0]
     shape = terms[0][0].shape
     q, qcum = np.zeros(shape), np.zeros(shape)
@@ -253,7 +258,7 @@ def _direct_renewal(grid, terms, rate):
                     b = b + j * qcum[k - lag]
             bases.append(b)
         wk = ws if k else [0.0] * len(terms)  # X(0) = f(0)
-        q[k] = rate(k, bases, wk)
+        q[k] = solve(k, k + 1, np.array(bases)[:, None], np.reshape(wk, (-1, 1, 1)))[0]
         if k:
             qcum[k] = qcum[k - 1] + 0.5 * dt * (q[k - 1] + q[k])
         for x, b, w in zip(xs, bases, wk):
@@ -263,9 +268,10 @@ def _direct_renewal(grid, terms, rate):
 
 @st.composite
 def _volterra_systems(draw):
-    # node counts around the near block and its first far squares
-    b = fluid._BLOCK
-    n = draw(st.sampled_from([b - 1, b, b + 1, 2 * b + 1, 4 * b + 7]))
+    # node counts around the sub-block, the near block and its first far
+    # squares; atoms inside a sub-block and past the grid
+    s, b = fluid._SUB, fluid._BLOCK
+    n = draw(st.sampled_from([s - 1, s, s + 1, 2 * s + 3, b - 1, b, b + 1, 2 * b + 1, 4 * b + 7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dt = draw(st.sampled_from([1e-3, 2e-3]))
     paths = draw(st.sampled_from([(), (1,), (3,)]))
@@ -273,7 +279,7 @@ def _volterra_systems(draw):
     for _ in range(draw(st.integers(1, 3))):
         forcing = rng.standard_normal(paths + (n,)) * draw(st.sampled_from([1e-3, 1.0]))
         cont = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0, 3.0]))
-        lags = draw(st.lists(st.integers(1, n + 2), max_size=3))
+        lags = draw(st.lists(st.integers(1, s - 1) | st.integers(1, n + 2), max_size=3))
         if draw(st.booleans()):
             lags = [0] + lags
         atoms = [(lag, float(rng.uniform(-1.0, 1.0))) for lag in lags]
@@ -285,30 +291,42 @@ def _volterra_systems(draw):
     return terms, weights, uniform_grid((n - 1) * dt, dt)
 
 
-def _linear_rate(weights):
-    """The rate r = sum_i z_i X_i, with X_i = bases[i] + ws[i] r solved
-    exactly at each step."""
-    zs = [z.tolist() for z in weights]
+def _linear_solve(weights):
+    """The sub-block solve of the rate r = sum_i z_i X_i: with X_i = G[i] +
+    T[i] @ r on the nodes [u, e), one exact triangular solve."""
 
-    def rate(k, bases, ws):
-        num, den = 0.0, 1.0
-        for z, b, w in zip(zs, bases, ws):
-            num = num + z[k] * b
-            den -= z[k] * w
-        return num / den
+    def solve(u, e, G, T):
+        cols = (slice(u, e),) + (None,) * (G[0].ndim - 1)
+        mat = np.eye(e - u) - sum(z[u:e, None] * t for z, t in zip(weights, T))
+        rhs = sum(z[cols] * g for z, g in zip(weights, G))
+        return solve_triangular(mat, rhs, lower=True)
 
-    return rate
+    return solve
 
 
 @_SETTINGS
 @given(_volterra_systems())
 def test_blocked_history_matches_direct_sums(case):
     terms, weights, grid = case
-    xs, r, _ = fluid._renewal(grid, terms, _linear_rate(weights))
-    ref_xs, ref_r, _ = _direct_renewal(grid, terms, _linear_rate(weights))
+    xs, r, _ = fluid._renewal(grid, terms, _linear_solve(weights))
+    ref_xs, ref_r, _ = _direct_renewal(grid, terms, _linear_solve(weights))
     for got, ref in zip(xs + [r], ref_xs + [ref_r]):
         assert got.shape == ref.shape == terms[0][0].shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _fluid_and_rate(spec, grid):
+    """solve_fluid and the rate path q that its step loop solved."""
+    renewal, rates = fluid._renewal, []
+
+    def keep(*args):
+        out = renewal(*args)
+        rates.append(out[1])
+        return out
+
+    with mock.patch.object(fluid, "_renewal", keep):
+        sol = solve_fluid(spec, grid)
+    return sol, rates[-1]
 
 
 def test_blocked_fluid_matches_direct_sums():
@@ -317,12 +335,53 @@ def test_blocked_fluid_matches_direct_sums():
                      h=JointDurationDist(g=Gamma(3.0, 3.0), f=Uniform(1.0, 3.0)))
     grid = uniform_grid(30.0, 0.02)
     assert len(grid) > 4 * fluid._BLOCK
-    got = solve_fluid(spec, grid)
+    got, q = _fluid_and_rate(spec, grid)
     with mock.patch.object(fluid, "_renewal", _direct_renewal):
         ref = solve_fluid(spec, grid)
     for name in "SEIRAL":
         assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) <= 1e-12, name
-    assert got.diagnostics["max_iterations"] == ref.diagnostics["max_iterations"]
+    # each node's Newton solve meets q = lam S I to its tolerance
+    assert np.all(np.abs(q - spec.lam_on_grid(grid) * got.S * got.I)
+                  <= 1e-12 * np.maximum(1.0, np.abs(q)))
+
+
+_LAWS = {
+    "SIS": ModelSpec(kind="SIS", lam=2.0, i0=0.3, f=Gamma(2.0, 2.0)),
+    "SIR": ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=LogNormal(-0.125, 0.5)),
+    "SEIR": ModelSpec(kind="SEIR", lam=1.6, i0=0.01, e0=0.02,
+                      h=JointDurationDist(g=Gamma(2.0, 2.0), f=Weibull(2.0, 1.0))),
+    "SIRS": ModelSpec(kind="SIRS", lam=1.5, i0=0.01,
+                      h=JointDurationDist(g=Gamma(3.0, 3.0), f=Uniform(1.0, 3.0))),
+    "SIS_deterministic": ModelSpec(kind="SIS", lam=2.0, i0=0.05, f=Deterministic(1.0)),
+}
+
+
+@pytest.mark.parametrize("name, horizon, dt", [
+    ("SIS", 5.0, 0.005), ("SIR", 8.0, 0.005), ("SEIR", 4.0, 0.002), ("SIRS", 20.0, 0.01),
+    ("SIS_deterministic", 3.0, 0.001)])
+def test_sub_block_newton_matches_node_by_node_solves(name, horizon, dt):
+    # every kind over several blocks, and an atom (at lag 1000) that reaches
+    # across blocks: the same Newton solve, one node at a time
+    spec, grid = _LAWS[name], uniform_grid(horizon, dt)
+    got = solve_fluid(spec, grid)
+    with mock.patch.object(fluid, "_renewal", _direct_renewal):
+        ref = solve_fluid(spec, grid)
+    for c in "SEIRAL":
+        assert np.max(np.abs(getattr(got, c) - getattr(ref, c))) <= 2e-12, c
+
+
+@pytest.mark.parametrize("name, horizon, dt", [
+    ("SIS", 5.0, 0.005), ("SIR", 8.0, 0.05), ("SEIR", 6.0, 0.1), ("SIRS", 6.0, 0.02)])
+def test_fclt_solve_matches_node_by_node_linear_steps(name, horizon, dt):
+    # the one triangular solve per sub-block against the exact per-node step
+    fl = solve_fluid(_LAWS[name], uniform_grid(horizon, dt))
+    drivers = sample_drivers(DriverCovariance(fl), np.random.default_rng(5), paths=3)
+    got = solve_fclt_path(drivers, fl, ihat0=0.2)
+    with mock.patch.object(fluid, "_renewal", _direct_renewal):
+        ref = solve_fclt_path(drivers, fl, ihat0=0.2)
+    for c in ("Shat", "Ehat", "Ihat", "Rhat"):
+        a, b = getattr(got, c), getattr(ref, c)
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), c
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
