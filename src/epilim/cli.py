@@ -386,8 +386,9 @@ def _engine_fclt(cfg, outdir, workers):
     fp = solve_fclt_path(drivers, fl)
     arts = []
     if "csv" in cfg.formats:
-        cols = [grid] + [getattr(fp, c).var(axis=0, ddof=1)
-                         for c in ("Shat", "Ehat", "Ihat", "Rhat")]
+        # a compartment the kind lacks (E, and R for SIS) is zero on every path
+        cols = [grid] + [getattr(fp, c + "hat").var(axis=0, ddof=1) if c in cfg.spec.kind
+                         else np.zeros(len(grid)) for c in "SEIR"]
         _write_csv(os.path.join(outdir, "fclt.csv"),
                    ("t", "var_Shat", "var_Ehat", "var_Ihat", "var_Rhat"),
                    cols)

@@ -17,8 +17,8 @@ of that same build, so the sampled law is this law and the additive
 identities between drivers hold exactly by construction. Also the solve
 for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its runner
 with the linearized rate and the drivers added to the forcings (each
-sub-block one exact triangular solve over every path), and the Markovian
-SIS SDE cross-check, whose rates come from the spec.
+sub-block one triangular inverse and one product over every path), and
+the Markovian SIS SDE cross-check, whose rates come from the spec.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpstrf, dtrtri
 
 from .distributions import _conv_cdf_values, _conv_head, _phi_atom_list, grid_step
 from .fluid import (
@@ -36,7 +37,6 @@ from .fluid import (
     _equations,
     _markovian_rates,
     _run_system,
-    _solve_lower,
     _step_matrix,
     cdf_kernel,
     table_kernel,
@@ -408,11 +408,26 @@ def sample_drivers(cov: DriverCovariance, rng, paths: int = 1) -> dict:
         fac = _chol_psd(flat, f"{cov.kind} {block}")
         z = rng.standard_normal((paths, fac.shape[1])) @ fac.T
         del flat, fac  # the block goes before the next one is built
-        z = z[:, first].reshape(paths, width, n)
+        dup = np.flatnonzero(first != np.arange(len(first)))
+        z[:, dup] = z[:, first[dup]]
+        z = z.reshape(paths, width, n)
         for d, (b, coef) in law.items():
             if b == block:
-                out[d] = sum(c * z[:, a] for a, c in enumerate(coef) if c)
+                out[d] = _combine(z, coef)
     return {d: out[d] for d in law}
+
+
+def _combine(z, coef):
+    """sum(c * z[:, a] for a, c in enumerate(coef) if c), bitwise as that
+    sum forms it from 0, for coefficients 0 and +-1 (those of _LAW): each
+    term is added to or subtracted from one new (paths, n) array."""
+    out = np.empty(z.shape[::2])
+    acc = 0.0  # 0 + (-0.0) is +0.0, as in the sum
+    for a, c in enumerate(coef):
+        if c:
+            {1: np.add, -1: np.subtract}[c](acc, z[:, a], out=out)
+            acc = out
+    return out
 
 
 # -------------------------------------------------------------- path solves
@@ -439,9 +454,12 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     driver ids to (paths, n) or (n,) arrays on the fluid grid, an (n,)
     array being one path; only the ids in the kind's forcings are read, and
     they must share one number of paths. ihat0/ehat0 are the initial
-    fluctuation values (scalars or one per path). A node where the
+    fluctuation values (scalars or one per path). Each sub-block's linear
+    step is exact: its lower-triangular matrix is inverted once and the
+    inverse applied to every path by one product. A node where the
     linearized step is singular, 1 - sum_i z_i w_i = 0 with z_i the rate's
     weight on term i and w_i its implicit weight, raises ValueError.
+    Compartments the kind lacks (E, and R for SIS) are zero arrays.
     """
     spec = _model_spec(fluid)
     grid = fluid.grid
@@ -471,13 +489,8 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
 
     terms, s0, cs, rest = _equations(spec, grid, fluid.kernels, 0.0, i0v, e0v)
     rest = {name: fk for name, fk in rest.items() if name in forced}  # FcltPath has no L
-
-    def forcing(name, f):
-        # sampled drivers are Fortran-ordered and f broadcasts over paths,
-        # so the sum stays Fortran-ordered: its time-major view is free
-        for d in forced[name]:
-            f = f - ds[d[1:]] if d[0] == "-" else f + ds[d]
-        return f
+    added = {name: [(-1, ds[d[1:]]) if d[0] == "-" else (1, ds[d]) for d in ids]
+             for name, ids in forced.items()}
 
     # q = lam S I linearized: qhat = sum_i z_i X_i with z_i = lam Ibar c_i,
     # plus lam Sbar for X_0 = Ihat
@@ -486,18 +499,23 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     zs[0] += lam * fluid.S
 
     def solve(u, e, G, T):
-        # X_i = G_i + T_i qhat is linear in qhat: one triangular solve is exact
+        # X_i = G_i + T_i qhat is linear in qhat: qhat = M^-1 sum_i z_i G_i,
+        # M = Id - sum_i diag(z_i) T_i lower triangular, exact in one step.
+        # M.T is a Fortran-ordered upper triangle that LAPACK reads without
+        # a copy; its inverse is (M^-1).T.
         z = zs[:, u:e]
-        # sum_i z_i G_i, Fortran-ordered as LAPACK reads it
-        rhs = np.einsum("ia,ia...->a...", z, G, out=np.empty(G.shape[:0:-1]).T)
-        qhat, zero = _solve_lower(_step_matrix(z, T), rhs)
-        if zero is not None:
-            raise ValueError(f"the linearized step at node {u + zero} (t = {grid[u + zero]:g}) "
+        inv_t, info = dtrtri(_step_matrix(z, T).T, lower=0, overwrite_c=1)
+        if info > 0:
+            node = u + info - 1
+            raise ValueError(f"the linearized step at node {node} (t = {grid[node]:g}) "
                              "is singular: 1 - sum_i z_i w_i = 0")
-        return qhat
+        rhs = np.einsum("ia,ia...->a...", z, G)  # (e - u, P), C-ordered
+        # rhs.T @ (M^-1).T = (M^-1 rhs).T, one triangular product in place
+        return dtrmm(1.0, inv_t, rhs.T, side=1, overwrite_b=1).T
 
-    hats, _, _ = _run_system(grid, (terms, s0, cs, rest), solve, forcing)
-    out = [hats[c] if c in hats else np.zeros_like(hats["I"]) for c in "SEIR"]
+    hats, _, _ = _run_system(grid, (terms, s0, cs, rest), solve, added)
+    shape = hats["I"].shape
+    out = [hats[c] if c in hats else np.zeros(shape) for c in "SEIR"]
     if flat:
         out = [x[0] for x in out]
     return FcltPath(grid, *out)

@@ -21,16 +21,20 @@ together (P. Linz, Analytical and Numerical Methods for Volterra
 Equations, SIAM 1985): there each term is X = G + T q, with G known and T
 one lower-triangular Toeplitz matrix per term and solve. The fluid takes
 Newton steps to 1e-12, each one triangular solve (LAPACK dtrtrs); the
-fluctuation limit's linear step is one exact triangular solve. A step too
-stiff for the grid (see _solve_fluid_on) halves the grid.
+fluctuation limit's linear step inverts the sub-block's matrix once
+(dtrtri) and applies the inverse to every path with one product. A step
+too stiff for the grid (see _solve_fluid_on) halves the grid.
 
-Convolutions of a fully known path (conv_full, and the kernel tabulation in
-distributions) use FFT, O(N log N). The stepper's history sums, whose rate
-is only known up to the current sub-block, are split over dyadic squares of
-the lower triangle (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985) 532-541): each square is one FFT once its sources are known, and only
-sources in the current block of _BLOCK nodes are summed directly, by one
-product per sub-block, O(N log^2 N) in all.
+A convolution of a fully known path (conv_full) on a grid of at most
+_BLOCK nodes is one product with the product-trapezoid Toeplitz matrix;
+longer ones, and the kernel tabulation in distributions, use FFT, O(N log
+N). The stepper's history sums, whose rate is only known up to the current
+sub-block, are split over dyadic squares of the lower triangle (Hairer,
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541): each
+square is one FFT once its sources are known, and only sources in the
+current block of _BLOCK nodes are summed directly, by one product per
+sub-block, O(N log^2 N) in all. That is the split conv_full makes: direct
+sums up to _BLOCK lags, FFT beyond.
 """
 
 from __future__ import annotations
@@ -129,23 +133,29 @@ _CONV_ROW_DOUBLES = 1 << 15
 
 def conv_full(ker: ConvKernel, q: np.ndarray, dt: float) -> np.ndarray:
     """int_0^{t_k} K(t_k - s) q(s) ds for fully known rate paths q, (n,) or
-    (paths, n).
+    (..., n).
 
-    The product-trapezoid sum is one FFT convolution per block of rows, each
-    row on its own, so blocking changes no bit. out[..., 0] is the integral
-    over an empty interval, exactly 0.
+    On a grid of at most _BLOCK nodes the product-trapezoid sum is one
+    product of q's rows with its lower-triangular Toeplitz weights
+    (_trapezoid_product). A longer grid takes one FFT convolution per block of rows, each row on
+    its own, so blocking changes no bit. Either way atoms add shifted
+    cumulative trapezoids of q, and out[..., 0], the integral over an empty
+    interval, is exactly 0.
     """
     q = np.asarray(q, dtype=float)
     k1 = q.shape[-1]
-    if q.ndim == 2 and q.size > _CONV_ROW_DOUBLES:
+    if k1 <= _BLOCK:
+        out = _trapezoid_product(ker.cont, q, dt)
+    elif q.ndim == 2 and q.size > _CONV_ROW_DOUBLES:
         out = np.empty_like(q)
         rows = max(1, _CONV_ROW_DOUBLES // k1)
         for p in range(0, len(q), rows):
             out[p : p + rows] = conv_full(ker, q[p : p + rows], dt)
         return out
-    cont = ker.cont[:k1]
-    out = dt * (_conv_head(cont, q, k1) - 0.5 * cont * q[..., :1] - 0.5 * cont[0] * q)
-    out[..., 0] = 0.0
+    else:
+        cont = ker.cont[:k1]
+        out = dt * (_conv_head(cont, q, k1) - 0.5 * cont * q[..., :1] - 0.5 * cont[0] * q)
+        out[..., 0] = 0.0
     if ker.atoms:
         qc = _cumtrapz(q, dt)
         for lag, j in ker.atoms:
@@ -154,6 +164,30 @@ def conv_full(ker: ConvKernel, q: np.ndarray, dt: float) -> np.ndarray:
             elif lag < k1:
                 out[..., lag:] += j * qc[..., : k1 - lag]
     return out
+
+
+def _trapezoid_product(cont, q, dt):
+    """conv_full's continuous part on a short grid: q's rows times the
+    product-trapezoid weights w[k, j] = dt cont[k - j], halved at j = 0 and
+    at j = k, with row 0 zero; one dgemm, whose result is Fortran-ordered.
+
+    w is Fortran-ordered and passed transposed (op(B) = B.T), as is q unless
+    its rows are a Fortran-ordered bundle. In this form OpenBLAS sums every
+    row of a bundle of up to 100 rows in one order (measured on an AVX-512
+    host with one and two threads), so such a row is bitwise its one-row
+    call; the edge tiles of a larger bundle may round a few rows otherwise.
+    """
+    k1 = q.shape[-1]
+    w = _toeplitz(dt * np.asarray(cont[:k1], dtype=float), k1, k1, 0, order="F")
+    w[:, 0] *= 0.5
+    w.ravel(order="K")[::k1 + 1] *= 0.5  # the diagonal, in place
+    w[0, 0] = 0.0
+    rows = q.reshape(-1, k1)
+    if rows.flags.f_contiguous:  # the runner's bundle: a transposed time-major array
+        out = dgemm(1.0, rows, w, trans_b=1)
+    else:
+        out = dgemm(1.0, rows.T, w, trans_a=1, trans_b=1)
+    return out.reshape(q.shape)
 
 
 def _cumtrapz(q, dt):
@@ -168,14 +202,15 @@ _BLOCK = 256  # block of the near part: sources in the target's aligned block ar
 _SUB = 64  # sub-block of the near part: its unknown rates are solved together
 
 
-def _toeplitz(c, rows, cols, offset):
+def _toeplitz(c, rows, cols, offset, order="C"):
     """The (rows, cols) array [a, x] = c[offset + a - x], 0 where that lag is
-    negative or past c: a copy of a sliding-window view of one padded vector."""
+    negative or past c: a copy, in the given memory order, of a
+    sliding-window view of one padded vector."""
     lags = offset + rows - 1 - np.arange(rows + cols - 1)
     ok = (lags >= 0) & (lags < len(c))
     pad = np.zeros(len(lags))
     pad[ok] = c[lags[ok]]
-    return np.ascontiguousarray(sliding_window_view(pad, cols)[::-1])
+    return np.array(sliding_window_view(pad, cols)[::-1], order=order)
 
 
 def _near_weights(ker: ConvKernel, dt: float, n: int):
@@ -224,15 +259,16 @@ def _add_product(out, a, b):
     dgemm(1.0, b.reshape(len(b), -1).T, a.T, 1.0, out.reshape(len(out), -1).T, overwrite_c=1)
 
 
-def _renewal(grid, terms, solve):
+def _renewal(grid, x, kernels, solve):
     """Step X_i(t) = f_i(t) + int_0^t K_i(t-s) q(s) ds across the grid.
 
-    terms is a list of (forcing, ConvKernel) pairs. Forcings are time-major:
-    (n,) for one path or (n, P) for a bundle. solve(u, e, G, T) returns q on
-    the nodes [u, e) given that X_i = G[i] + T[i] @ q there, with T a stack
-    of lower-triangular matrices; node 0 comes alone, with X(0) = f(0), and
+    x stacks the forcings f_i, time-major: (terms, n) for one path or
+    (terms, n, P) for a bundle; X is stepped into it in place. kernels
+    lists the ConvKernel K_i. solve(u, e, G, T) returns q on the nodes
+    [u, e) given that X_i = G[i] + T[i] @ q there, with T a stack of
+    lower-triangular matrices; node 0 comes alone, with X(0) = f(0), and
     then each _SUB-aligned sub-block. Returns (list of X_i, q, cumulative
-    trapezoid of q), all with the forcings' shape.
+    trapezoid of q), all with a forcing's shape.
 
     The history sum dt * sum_{j<k} cont[k - j] p_j, with p the rate path
     under trapezoid weights (p_0 = q_0 / 2), splits over the dyadic squares
@@ -246,16 +282,16 @@ def _renewal(grid, terms, solve):
     """
     dt = grid_step(grid)
     n = len(grid)
-    x = np.array([f for f, _ in terms], dtype=float)  # the forcings, then X, in place
-    near = [_near_weights(K, dt, n) for _, K in terms]
+    near = [_near_weights(K, dt, n) for K in kernels]
     known, t = np.array([w[0] for w in near]), np.array([w[1] for w in near])
-    atoms = [(i, lag, j) for i, (_, K) in enumerate(terms) for lag, j in K.atoms if lag < n]
+    atoms = [(i, lag, j) for i, K in enumerate(kernels) for lag, j in K.atoms if lag < n]
     # only long grids have far squares; atom-only kernels have no history
-    far = [i for i, (_, K) in enumerate(terms) if n > _BLOCK and np.any(K.cont)]
+    far = [i for i, K in enumerate(kernels) if n > _BLOCK and np.any(K.cont)]
     spectra = {}
     p = np.empty(x.shape[1:])  # q with trapezoid weights, for the history sums
-    qcum = np.zeros_like(p)
-    q0 = solve(0, 1, x[:, :1], np.zeros((len(terms), 1, 1)))[0]
+    qcum = np.empty_like(p)  # every node past 0 is written below
+    qcum[0] = 0.0
+    q0 = solve(0, 1, x[:, :1], np.zeros((len(kernels), 1, 1)))[0]
     p[0] = 0.5 * q0
     q_last = q0
     for u in [1, *range(_SUB, n, _SUB)]:
@@ -267,7 +303,7 @@ def _renewal(grid, terms, solve):
             for i in far:
                 spec = spectra.get((i, s))
                 if spec is None:  # lags 1 .. 2s - 1
-                    spec = spectra[i, s] = np.fft.rfft(dt * terms[i][1].cont[1:2 * s], 2 * s)
+                    spec = spectra[i, s] = np.fft.rfft(dt * kernels[i].cont[1:2 * s], 2 * s)
                 out = np.fft.irfft(spec * src, 2 * s).T
                 x[i, u:u + s] += out[s - 1:s - 1 + min(s, n - u)]
         G = x[:, u:e]  # forcing + far part, then + the known sources: G
@@ -299,29 +335,42 @@ def _renewal(grid, terms, solve):
     return list(x), p, qcum
 
 
-def _run_system(grid, system, solve, forced=None):
+def _run_system(grid, system, solve, added=None):
     """Run a system of _equations: step its terms with _renewal under the
     sub-block solver (see _renewal), convolve the rest with the solved rate
     q, and close S.
 
-    forced(name, forcing) adds anything to a compartment's forcing; by
-    default nothing. Returns ({compartment: path}, q, cumulative trapezoid
-    of q), each (n,) for one path or (paths, n) for a bundle of forcings.
+    added maps a compartment to the (sign, path) pairs, paths (P, n), that
+    its forcing gains, +1 adding and -1 subtracting, in their order; by
+    default none. Each compartment's forcing is summed once into a
+    time-major array, and a convolved compartment adds its convolution to
+    that sum. Returns ({compartment: path}, q, cumulative trapezoid of q),
+    each (n,) for one path or (paths, n) for a bundle.
     """
     terms, s0, cs, rest = system
-    forced = forced or (lambda name, f: f)
-    fs = [forced(name, f) for name, f, _ in terms]
-    shape = np.broadcast_shapes(*(np.shape(f) for f in fs))
+    added = added or {}
     # time-major (n,) or (n, P), so that a sub-block is a run of rows; the
     # results are their transposes, Fortran-ordered for a bundle
-    fs = [np.ascontiguousarray(np.broadcast_to(f, shape).T) for f in fs]
-    xs, q, qcum = _renewal(grid, [(f, K) for f, (_, _, K) in zip(fs, terms)], solve)
+    shape = np.broadcast_shapes(*(np.shape(f) for _, f, _ in terms),
+                                *(np.shape(a) for pairs in added.values() for _, a in pairs))[::-1]
+
+    def forcing(name, f, out):
+        out.T[...] = f
+        for sign, a in added.get(name, ()):
+            (np.add if sign > 0 else np.subtract)(out, a.T, out=out)
+        return out
+
+    x = np.empty((len(terms),) + shape)
+    for (name, f, _), xi in zip(terms, x):
+        forcing(name, f, xi)
+    xs, q, qcum = _renewal(grid, x, [K for _, _, K in terms], solve)
     xs, q = [x.T for x in xs], q.T
     out = {name: x for (name, _, _), x in zip(terms, xs)}
     dt = grid_step(grid)
     for name, (f, K) in rest.items():
-        out[name] = conv_full(K, q, dt)
-        out[name] += forced(name, f)
+        total = forcing(name, f, np.empty(shape))
+        total += conv_full(K, q, dt).T
+        out[name] = total.T
     if "S" not in out:  # s0 + sum_i cs[i] X_i, summed left to right
         out["S"] = sum((c * x for c, x in zip(cs, xs)), s0)
     return out, q, qcum.T

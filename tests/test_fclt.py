@@ -3,6 +3,9 @@ sampling, the fluctuation path solves, and the Markovian SIS SDE check."""
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -573,30 +576,52 @@ def _pinned_sampler_runs():
     }
 
 
-# sha256 of each run's sampled drivers, recorded again when the fluid's
-# near steps became sub-block Newton solves (the fluid moved by about 1e-13,
-# and with it each block)
+# sha256 of each run's sampled drivers under one BLAS thread, recorded again
+# when the fluid's near steps became sub-block Newton solves (the fluid
+# moved by about 1e-13, and with it each block); sis_i0 again when the runs
+# moved into a one-thread child process
 _PINNED_SAMPLES = {
     "seir_e0_i0": "76cc05e29adcf29258849e77e9c9806390cfefb70a58a17e0b269cb74a16d241",
     "sir_deterministic": "d4e147775a55826db8f2c0c11015382d468b20aeabf1738286219ef15834bc92",
     "sirs_r0": "0afbeff83b039465ec571298c360726f64e8042cdecf3f2db81e6e15efcde9d4",
-    "sis_i0": "ec5e016fab2a8d84ad5c915cdf1fff4d809c2f5711f976086106401bcbb5f9c5",
+    "sis_i0": "72b35a5d6fac76d815cabc16e989dba2f2de4a7aa5bd0ade0cefb96c3c117017",
 }
 
 
+def _sampled_stream_digests():
+    """sha256 of the drivers that each pinned sampler run draws."""
+    out = {}
+    for name, (spec, fl, grid, seed) in _pinned_sampler_runs().items():
+        dr = sample_drivers(DriverCovariance(fl), np.random.default_rng(seed), paths=5)
+        h = hashlib.sha256()
+        for d in DRIVER_IDS[spec.kind]:
+            h.update(d.encode())
+            h.update(np.ascontiguousarray(dr[d]).tobytes())
+        out[name] = h.hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_thread_digests():
+    # OpenBLAS's pivoted Cholesky rounds a large block (the 802 x 802 W
+    # factor of sis_i0) by its thread count, so the pinned runs are drawn in
+    # one child process with one BLAS thread, as the benchmark runs
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, here]))
+    code = "import json, test_fclt; print(json.dumps(test_fclt._sampled_stream_digests()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_SAMPLES))
-def test_sampled_stream_is_pinned(name):
-    spec, fl, grid, seed = _pinned_sampler_runs()[name]
-    cov = DriverCovariance(fl)
+def test_sampled_stream_is_pinned(name, one_thread_digests):
     if name == "sir_deterministic":
+        cov = DriverCovariance(_pinned_sampler_runs()[name][1])
         w = cov._build("W").reshape(2 * cov.n, -1)
         assert _chol_psd(w, "W").shape[1] < 2 * cov.n
-    dr = sample_drivers(cov, np.random.default_rng(seed), paths=5)
-    h = hashlib.sha256()
-    for d in DRIVER_IDS[spec.kind]:
-        h.update(d.encode())
-        h.update(np.ascontiguousarray(dr[d]).tobytes())
-    assert h.hexdigest() == _PINNED_SAMPLES[name]
+    assert one_thread_digests[name] == _PINNED_SAMPLES[name]
 
 
 # -------------------------------------------------------------- path solves
@@ -608,13 +633,14 @@ def _zero_drivers(kind, n):
 
 # sha256 of the four compartments of a 6-path solve with per-path ihat0 and
 # ehat0 and of a one-path solve, recorded when each sub-block became one
-# triangular solve; the drivers are seeded normals, not sample_drivers
-# draws, so only the solve (and the fluid it reads) is pinned
+# triangular inverse and one product, and short-grid convolutions one
+# product; the drivers are seeded normals, not sample_drivers draws, so
+# only the solve (and the fluid it reads) is pinned
 _PINNED_SOLVES = {
-    "SIS": "1e57bf1cb86889ee6dcab3f4e7b3cd6fa25cb8cfdbd4a9eaeda79f7e4ba43c58",
-    "SIR": "f210c2260b4b90224a3e8b2309f6d37d626d3122b278e5488a280f988fa79851",
-    "SEIR": "94c9cfa8b0ccd75a00b12d69f40786eb3fa3dfd73932f372f1109a1e1ab89276",
-    "SIRS": "7d86221a98b1e9dc828814f28bf5810dbd78856d003561d18708d3e0255b65cb",
+    "SIS": "4e890865e1df80d3012aabe8866aa9dfb38dd1399adaebbed7adc5c6efc28292",
+    "SIR": "84517d98e2284857753fcd544922e0e98db437ea0ef28b553ff2d9718c151425",
+    "SEIR": "4656fc625b5aa24bf35e6e21c6840f45f410fd00b59d87488e0d2428fb86d752",
+    "SIRS": "1356a31922aa0c04ca0891cee887ae9b286cad144d76ce2c1d887b963d669f73",
 }
 
 

@@ -444,7 +444,7 @@ def _linear_volterra(forcings, kernels, weights, grid, residual=None):
         return solve_triangular(mat, rhs, lower=True)
 
     fs = [np.ascontiguousarray(np.asarray(f, dtype=float).T) for f in forcings]
-    xs, r, _ = fluid._renewal(grid, list(zip(fs, kernels)), solve)
+    xs, r, _ = fluid._renewal(grid, np.array(fs), kernels, solve)
     if residual is not None:
         for f, ker, x in zip(fs, kernels, xs):
             conv = conv_full(ker, r.T, grid[1] - grid[0]).T
@@ -529,10 +529,11 @@ def test_linear_volterra_batch_matches_flat():
         assert _sup(r[p], rf) < 1e-13
 
 
-@pytest.mark.parametrize("paths, n", [(2000, 161), (16, 1001)])
+@pytest.mark.parametrize("paths, n", [(2000, 161), (2000, 257), (16, 1001)])
 def test_conv_full_row_blocks_change_no_bit(paths, n, monkeypatch):
-    # each row is its own FFT: one block, three rows a block and the default
-    # blocks give the same bits
+    # past _BLOCK nodes each row is its own FFT: one block, three rows a
+    # block and the default blocks give the same bits (161 nodes take the
+    # direct product, which has no row blocks)
     grid = uniform_grid((n - 1) * 0.05, 0.05)
     ker = survival_kernel(Deterministic(0.5), grid)
     ker = ConvKernel(cont=ker.cont + np.exp(-grid), atoms=ker.atoms)

@@ -237,13 +237,14 @@ def test_replay_matches_path_and_intensity_is_monotone(case, n, seed):
     assert np.all(np.diff(lam_bar) >= 0.0)
 
 
-def _direct_renewal(grid, terms, solve):
+def _direct_renewal(grid, x, kernels, solve):
     """fluid._renewal one node at a time, each step's history sum a direct
     dot over every earlier node, O(N^2): the reference for the blocked sums
     and the sub-block solves. solve gets each node as a 1 x 1 system, whose
     matrix is the node's implicit weight."""
     dt = grid[1] - grid[0]
-    shape = terms[0][0].shape
+    terms = list(zip(x, kernels))
+    shape = x.shape[1:]
     q, qcum = np.zeros(shape), np.zeros(shape)
     xs = [np.empty(shape) for _ in terms]
     ws = [0.5 * dt * (K.cont[0] + sum(j for lag, j in K.atoms if lag == 0)) for _, K in terms]
@@ -308,10 +309,11 @@ def _linear_solve(weights):
 @given(_volterra_systems())
 def test_blocked_history_matches_direct_sums(case):
     terms, weights, grid = case
-    xs, r, _ = fluid._renewal(grid, terms, _linear_solve(weights))
-    ref_xs, ref_r, _ = _direct_renewal(grid, terms, _linear_solve(weights))
+    fs, kernels = np.array([f for f, _ in terms]), [K for _, K in terms]
+    xs, r, _ = fluid._renewal(grid, fs.copy(), kernels, _linear_solve(weights))
+    ref_xs, ref_r, _ = _direct_renewal(grid, fs, kernels, _linear_solve(weights))
     for got, ref in zip(xs + [r], ref_xs + [ref_r]):
-        assert got.shape == ref.shape == terms[0][0].shape
+        assert got.shape == ref.shape == fs.shape[1:]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
