@@ -12,13 +12,14 @@ blocks read the law of both stages at two times from the fluid's own
 Stieltjes sum of the joint law h (distributions._conv_cdf_values, every
 time shift at once), so the fluid and the driver law share one
 quadrature; the jumps that an atom of g puts into the two-time table are
-read by the exact atom rule. The sampler draws each block from one factor
-of that same build, so the sampled law is this law and the additive
-identities between drivers hold exactly by construction. Also the solve
-for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its runner
-with the linearized rate and the drivers added to the forcings (each
-sub-block one triangular inverse and one product over every path), and
-the Markovian SIS SDE cross-check, whose rates come from the spec.
+read by the exact atom rule. The sampler draws each block from the
+pivoted Cholesky factor of that same build, by one triangular product in
+pivot order and one gather, so the sampled law is this law and the
+additive identities between drivers hold exactly by construction. Also
+the solve for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its
+runner with the linearized rate and the drivers added to the forcings
+(each sub-block one triangular inverse and one product over every path),
+and the Markovian SIS SDE cross-check, whose rates come from the spec.
 """
 
 from __future__ import annotations
@@ -81,13 +82,6 @@ DRIVER_IDS = {kind: tuple(law) for kind, law in _LAW.items()}
 # PSD block, far below anything a sample can resolve.
 _PSD_RTOL = 1e-8
 
-# Doubles per slab when _chol_psd undoes its pivoting, and the side of the
-# tiles it transposes: each gathered or swapped copy stays small next to the
-# block it rearranges.
-_SLAB_DOUBLES = 1 << 15
-_TILE = 128
-
-
 @dataclass
 class FcltPath:
     """Limit fluctuations on the fluid grid: (n,) arrays for one path, else
@@ -120,9 +114,10 @@ class DriverCovariance:
     two-stage tables are batched FFT convolutions. It is built bitwise
     symmetric, over every node. ``cov`` and ``matrix`` read each block
     through the coefficient table from one build that they cache.
-    ``sample_drivers`` makes the same build afresh and factors it in the
-    memory it was built in, without caching it, so the sampled law is this
-    law bit for bit. Cross-block covariances are exactly zero.
+    ``sample_drivers`` makes the same build afresh, factors it in its own
+    memory without caching it, and draws by one triangular product in
+    pivot order and one gather, so the sampled law is this law bit for
+    bit. Cross-block covariances are exactly zero.
     """
 
     def __init__(self, fluid: FluidSolution):
@@ -313,21 +308,21 @@ def _by_lag(dest: np.ndarray, table: np.ndarray) -> None:
 # ----------------------------------------------------------------- sampling
 
 
-def _chol_psd(mat: np.ndarray, label: str) -> np.ndarray:
-    """Factor L, (m, rank), with L @ L.T == mat for a PSD covariance block,
-    in the block's own memory: mat is consumed, and L is a view of it whose
-    rows are contiguous.
+def _chol_psd(mat: np.ndarray, label: str):
+    """LAPACK's pivoted Cholesky factor of a PSD covariance block, as dpstrf
+    leaves it: (low, order, rank), with tril(low)[:, :rank] an L such that
+    L @ L.T == mat[order][:, order]. mat is consumed: low is its transpose.
 
     mat is a C-ordered float array and bitwise symmetric, so its transpose
-    is a Fortran-ordered view of the same matrix, which LAPACK's pivoted
-    Cholesky (dpstrf) factors without a copy. Pivoted Cholesky stops at the
-    numerical rank, so singular blocks (the t = 0 rows of the initial pools,
-    deterministic clocks, instant stages) are factored exactly, with nothing
-    added to the diagonal. The Schur complement it leaves out must be
-    rounding noise; a block that is indefinite beyond that raises with its
-    minimum eigenvalue. dpstrf never touches the strict upper triangle, so
-    that triangle and the diagonal saved beforehand still hold the block
-    for both checks.
+    is a Fortran-ordered view of the same matrix, which dpstrf factors
+    without a copy. Pivoted Cholesky stops at the numerical rank, so
+    singular blocks (the t = 0 rows of the initial pools, deterministic
+    clocks, instant stages) are factored exactly, with nothing added to the
+    diagonal. The Schur complement it leaves out must be rounding noise; a
+    block that is indefinite beyond that raises with its minimum
+    eigenvalue. dpstrf never touches the strict upper triangle, so that
+    triangle and the diagonal saved beforehand still hold the block for
+    both checks.
     """
     diag = np.diagonal(mat).copy()
     low, piv, rank, _ = dpstrf(mat.T, lower=1, overwrite_a=True)
@@ -344,32 +339,34 @@ def _chol_psd(mat: np.ndarray, label: str) -> np.ndarray:
                 f"{label} covariance block is indefinite beyond rounding "
                 f"(min eigenvalue {mineig:.3e})"
             )
-    fac = low[:, :rank]
-    for j in range(1, rank):  # the part of the block that L's columns still hold
-        fac[:j, j] = 0.0
-    # fac[order] = L, one slab of columns at a time
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    step = max(1, _SLAB_DOUBLES // len(fac))
-    for c in range(0, rank, step):
-        fac[:, c : c + step] = fac[inv, c : c + step]
-    # Rows of L contiguous: a GEMM against L.T then sums in the same order
-    # as one against a C-ordered copy of L. With columns contiguous, the
-    # small-matrix GEMM kernels of OpenBLAS sum in another order.
-    _transpose(low)
-    return low.T[:, :rank]
+    return low, order, rank
 
 
-def _transpose(a: np.ndarray) -> None:
-    """a[:] = a.T for a square array, one pair of tiles at a time."""
-    for i in range(0, len(a), _TILE):
-        ii = slice(i, i + _TILE)
-        a[ii, ii] = a[ii, ii].T.copy()
-        for j in range(i + _TILE, len(a), _TILE):
-            jj = slice(j, j + _TILE)
-            tile = a[ii, jj].copy()
-            a[ii, jj] = a[jj, ii].T
-            a[jj, ii] = tile.T
+def _draw_block(cov: DriverCovariance, block: str, normals) -> np.ndarray:
+    """Base paths of one block of cov, (paths, width, cov.n), from standard
+    normals xi = normals(rank), (paths, rank); with np.eye they are the rows
+    of a factor F of the block, F.T @ F the block.
+
+    The block is built afresh, bitwise as cov.matrix reads it, and factored
+    in its own memory (_chol_psd). xi fills the first rank columns of a
+    zeroed (paths, m) array, which one dtrmm multiplies in place by the
+    factor's lower triangle, in pivot order: the triangle's columns past
+    rank, which are not the factor, meet zeros. The block is freed, and one
+    gather, the inverse pivot order composed with _first_equal_row, puts
+    the nodes back in order. Equal rows are one random variable and come
+    out bitwise equal, e.g. exactly 0 wherever no one can change state.
+    """
+    flat = cov._build(block)
+    width, n = flat.shape[:2]
+    flat = flat.reshape(width * n, -1)
+    first = _first_equal_row(flat)
+    low, order, rank = _chol_psd(flat, f"{cov.kind} {block}")
+    xi = normals(rank)
+    z = np.zeros((len(xi), len(low)))
+    z[:, :rank] = xi
+    dtrmm(1.0, low, z.T, lower=1, overwrite_b=1)  # in place: z.T is Fortran-ordered
+    del flat, low, xi  # the block goes before the gather
+    return z[:, np.argsort(order)[first]].reshape(len(z), width, n)
 
 
 def _first_equal_row(mat: np.ndarray) -> np.ndarray:
@@ -386,31 +383,20 @@ def _first_equal_row(mat: np.ndarray) -> np.ndarray:
 def sample_drivers(cov: DriverCovariance, rng, paths: int = 1) -> dict:
     """Sample joint driver paths on the fluid grid, cov.grid.
 
-    Each independent block of ``cov`` is built afresh, bitwise as
-    ``cov.matrix`` reads it, and factored in the memory it was built in;
-    all paths of its base processes come from one GEMM of standard normals
-    against that factor. The block is freed before the next one is built,
-    so sampling holds one block plus the build's transients. Every driver
-    is then its fixed combination of its block's base paths, so the
+    Each independent block of ``cov`` is built afresh, factored in its own
+    memory, and all paths of its base processes come from one triangular
+    product of standard normals with that factor, in its pivot order, and
+    one gather (_draw_block). The block is freed before the next one is
+    built, so sampling holds one block plus the build's transients. Every
+    driver is then its fixed combination of its block's base paths, so the
     additive identities (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold
     exactly on each path. W drivers are exactly 0 at t = 0. Returns
     {driver id: (paths, cov.n)}.
     """
-    law, n = _LAW[cov.kind], cov.n
+    law = _LAW[cov.kind]
     out = {}
     for block in dict.fromkeys(b for b, _ in law.values()):
-        flat = cov._build(block)
-        width = flat.shape[0]
-        flat = flat.reshape(width * n, width * n)
-        # Equal rows are one random variable: copying its column keeps it
-        # bitwise equal, e.g. exactly flat where no one can change state.
-        first = _first_equal_row(flat)
-        fac = _chol_psd(flat, f"{cov.kind} {block}")
-        z = rng.standard_normal((paths, fac.shape[1])) @ fac.T
-        del flat, fac  # the block goes before the next one is built
-        dup = np.flatnonzero(first != np.arange(len(first)))
-        z[:, dup] = z[:, first[dup]]
-        z = z.reshape(paths, width, n)
+        z = _draw_block(cov, block, lambda rank: rng.standard_normal((paths, rank)))
         for d, (b, coef) in law.items():
             if b == block:
                 out[d] = _combine(z, coef)

@@ -199,7 +199,7 @@ def _cumtrapz(q, dt):
 
 
 _BLOCK = 256  # block of the near part: sources in the target's aligned block are summed directly
-_SUB = 64  # sub-block of the near part: its unknown rates are solved together
+_SUB = 128  # sub-block of the near part: its unknown rates are solved together
 
 
 def _toeplitz(c, rows, cols, offset, order="C"):
@@ -277,16 +277,19 @@ def _renewal(grid, x, kernels, solve):
     added to X by FFTs of twice their side as soon as their sources are
     known; the pairs left, whose j lies in k's _BLOCK-aligned block, form
     the near part: one product per sub-block for the sources before it, and
-    the sub-block's own matrix T. Atoms add shifted cumulative trapezoids of
-    q. In all O(N log^2 N).
+    the sub-block's own matrix T. A kernel with no continuous part (S's
+    lag-0 atom) has neither history sum. Atoms add shifted cumulative
+    trapezoids of q. In all O(N log^2 N).
     """
     dt = grid_step(grid)
     n = len(grid)
     near = [_near_weights(K, dt, n) for K in kernels]
     known, t = np.array([w[0] for w in near]), np.array([w[1] for w in near])
     atoms = [(i, lag, j) for i, K in enumerate(kernels) for lag, j in K.atoms if lag < n]
-    # only long grids have far squares; atom-only kernels have no history
-    far = [i for i, K in enumerate(kernels) if n > _BLOCK and np.any(K.cont)]
+    # atom-only kernels have no history sums (their near weights are all
+    # zeros), and only long grids have far squares
+    cont = [i for i, K in enumerate(kernels) if np.any(K.cont)]
+    far = cont if n > _BLOCK else []
     spectra = {}
     p = np.empty(x.shape[1:])  # q with trapezoid weights, for the history sums
     qcum = np.empty_like(p)  # every node past 0 is written below
@@ -308,8 +311,8 @@ def _renewal(grid, x, kernels, solve):
                 x[i, u:u + s] += out[s - 1:s - 1 + min(s, n - u)]
         G = x[:, u:e]  # forcing + far part, then + the known sources: G
         if u > kb:
-            for g, a in zip(G, known[:, :e - u, -(u - kb):]):
-                _add_product(g, a, p[kb:u])
+            for i in cont:
+                _add_product(G[i], known[i, :e - u, -(u - kb):], p[kb:u])
         if atoms:
             # the cumulative trapezoid of q up to t_k - t_L: known up to
             # u - 1, and through q[u - 1] plus a half cell at every later lag

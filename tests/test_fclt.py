@@ -35,6 +35,8 @@ from epilim.fclt import (
     DRIVER_IDS,
     DriverCovariance,
     _chol_psd,
+    _draw_block,
+    _first_equal_row,
     sample_drivers,
     sis_sde_path,
     solve_fclt_path,
@@ -410,9 +412,10 @@ def test_cholesky_jitter_policy():
     near = np.eye(2) - (1.0 + 1e-11) * np.outer(v, v)
     assert np.linalg.eigvalsh(near)[0] < 0.0
     orig = near.copy()  # the factor consumes its input
-    lfac = _chol_psd(near, "probe")
+    low, order, rank = _chol_psd(near, "probe")
+    lfac = np.tril(low)[:, :rank]
     assert np.all(np.isfinite(lfac))
-    assert np.max(np.abs(lfac @ lfac.T - orig)) < 1e-10
+    assert np.max(np.abs(lfac @ lfac.T - orig[order][:, order])) < 1e-10
     # genuinely indefinite block fails with the minimum eigenvalue
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(RuntimeError, match="eigenvalue"):
@@ -579,12 +582,14 @@ def _pinned_sampler_runs():
 # sha256 of each run's sampled drivers under one BLAS thread, recorded again
 # when the fluid's near steps became sub-block Newton solves (the fluid
 # moved by about 1e-13, and with it each block); sis_i0 again when the runs
-# moved into a one-thread child process
+# moved into a one-thread child process; all four when each block was drawn
+# by one triangular product in pivot order and one gather (each stream moved
+# by at most 5e-14 relative)
 _PINNED_SAMPLES = {
-    "seir_e0_i0": "76cc05e29adcf29258849e77e9c9806390cfefb70a58a17e0b269cb74a16d241",
-    "sir_deterministic": "d4e147775a55826db8f2c0c11015382d468b20aeabf1738286219ef15834bc92",
-    "sirs_r0": "0afbeff83b039465ec571298c360726f64e8042cdecf3f2db81e6e15efcde9d4",
-    "sis_i0": "72b35a5d6fac76d815cabc16e989dba2f2de4a7aa5bd0ade0cefb96c3c117017",
+    "seir_e0_i0": "6dbc190662c42c05cef7160ca94c83e8ecb50d8b3afca981c304ad9e35c1a5a9",
+    "sir_deterministic": "ab49bde232c23506fb15584db378c7bfb0ef0e333d3ae5739d6603cda80def39",
+    "sirs_r0": "003b11b5b1d705eeeecfdda01b8173b2ea7bf93e93d39577a7200a4a4429d4b4",
+    "sis_i0": "306e05de04e3c096384773d176aa62dc0e82719286b96a61e5b40b012a598475",
 }
 
 
@@ -620,8 +625,48 @@ def test_sampled_stream_is_pinned(name, one_thread_digests):
     if name == "sir_deterministic":
         cov = DriverCovariance(_pinned_sampler_runs()[name][1])
         w = cov._build("W").reshape(2 * cov.n, -1)
-        assert _chol_psd(w, "W").shape[1] < 2 * cov.n
+        assert _chol_psd(w, "W")[2] < 2 * cov.n
     assert one_thread_digests[name] == _PINNED_SAMPLES[name]
+
+
+# The fclt models of the benchmark (perfbench/workloads.py), on its grids
+_LOGN = LogNormal(-0.125, 0.5)
+_BENCH_FCLT = {
+    "fclt_sis": (ModelSpec(kind="SIS", lam=2.0, i0=0.3, f=Gamma(2.0, 2.0)), 5.0, 0.005),
+    "fclt_sir": (ModelSpec(kind="SIR", lam=1.5, i0=0.05, f=_LOGN), 8.0, 0.05),
+    "fclt_seir": (ModelSpec(kind="SEIR", lam=1.5, i0=0.05, e0=0.05,
+                            h=JointDurationDist(g=Uniform(0.5, 1.5), f=_LOGN)), 6.0, 0.1),
+    "fclt_sirs": (ModelSpec(kind="SIRS", lam=1.5, i0=0.05, r0=0.1,
+                            h=JointDurationDist(g=Exponential(1.0), f=Uniform(1.0, 3.0))),
+                  6.0, 0.1),
+}
+
+
+def _draw_cases():
+    for name, (spec, horizon, dt) in _BENCH_FCLT.items():
+        yield name, solve_fluid(spec, uniform_grid(horizon, dt))
+    for name, (_, fl, _, _) in _pinned_sampler_runs().items():
+        yield name, fl
+
+
+def test_block_draw_is_a_factor_of_the_block():
+    # with identity normals the draw is a factor F of each block, rank rows
+    # by m columns, that the exact covariance can reuse: F.T @ F is the
+    # block, equal rows are bitwise equal columns, and W is exactly 0 at t = 0
+    for name, fl in _draw_cases():
+        cov = DriverCovariance(fl)
+        for block in dict.fromkeys(b for b, _ in _LAW[fl.kind].values()):
+            want = cov._build(block)
+            width = want.shape[0]
+            want = want.reshape(width * cov.n, -1)
+            fac = _draw_block(cov, block, np.eye).reshape(-1, width * cov.n)
+            assert len(fac) <= len(want)
+            tol = 1e-12 * np.max(np.diagonal(want))
+            assert np.max(np.abs(fac.T @ fac - want)) <= tol, f"{name} {block}"
+            first = _first_equal_row(want)
+            np.testing.assert_array_equal(fac, fac[:, first], err_msg=f"{name} {block}")
+            if block == "W":
+                assert np.all(fac[:, ::cov.n] == 0.0), name
 
 
 # -------------------------------------------------------------- path solves
@@ -635,9 +680,11 @@ def _zero_drivers(kind, n):
 # ehat0 and of a one-path solve, recorded when each sub-block became one
 # triangular inverse and one product, and short-grid convolutions one
 # product; the drivers are seeded normals, not sample_drivers draws, so
-# only the solve (and the fluid it reads) is pinned
+# only the solve (and the fluid it reads) is pinned. SIS again when the
+# sub-blocks grew from 64 to 128 nodes (its 401-node fluid moved, and its
+# solve by 1.7e-16 relative; the shorter grids fit in one sub-block either way)
 _PINNED_SOLVES = {
-    "SIS": "4e890865e1df80d3012aabe8866aa9dfb38dd1399adaebbed7adc5c6efc28292",
+    "SIS": "206bf1813508cf6f675805ca3b28808bece3408f38968168a1b4bb9ae80039d9",
     "SIR": "84517d98e2284857753fcd544922e0e98db437ea0ef28b553ff2d9718c151425",
     "SEIR": "4656fc625b5aa24bf35e6e21c6840f45f410fd00b59d87488e0d2428fb86d752",
     "SIRS": "1356a31922aa0c04ca0891cee887ae9b286cad144d76ce2c1d887b963d669f73",

@@ -388,6 +388,28 @@ def test_stiff_rate_triggers_halving_then_fails_honestly():
         solve_fluid(hot, uniform_grid(1.0, 0.1))
 
 
+@pytest.mark.parametrize("lam, dt, halvings", [
+    (80.0, 0.1, 3), (80.0, 0.05, 2), (80.0, 0.02, 1),
+    (120.0, 0.1, 4), (120.0, 0.05, 3), (120.0, 0.02, 1),
+])
+def test_stiff_seir_halves_as_pinned(lam, dt, halvings):
+    # the stiffest rows of a sweep over kinds, rates and steps: a change of
+    # the sub-block size or of the contraction guard that moves the halving
+    # contract shows here
+    h = JointDurationDist(g=Gamma(2.0, 2.0), f=Exponential(1.0))
+    spec = ModelSpec(kind="SEIR", lam=lam, i0=0.05, e0=0.05, h=h)
+    assert solve_fluid(spec, uniform_grid(2.0, dt)).diagnostics["halvings"] == halvings
+
+
+@pytest.mark.parametrize("kind", ["SIS", "SIR", "SIRS"])
+def test_hottest_sweep_rows_fail_after_every_halving(kind):
+    h = JointDurationDist(g=Exponential(1.0), f=Uniform(0.5, 1.5))
+    extra = {"h": h, "r0": 0.05} if kind == "SIRS" else {"f": Exponential(1.0)}
+    spec = ModelSpec(kind=kind, lam=120.0, i0=0.05, **extra)
+    with pytest.raises(RuntimeError, match="halvings"):
+        solve_fluid(spec, uniform_grid(2.0, 0.1))
+
+
 @pytest.mark.parametrize("kind, pool", [("SEIR", "e0"), ("SIRS", "r0")])
 def test_halved_fluid_keeps_its_kernels_on_the_requested_grid(kind, pool):
     # the fclt solve reads fluid.kernels on the requested grid, so after a
