@@ -181,8 +181,10 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
     if two:
         draw2 = _pool(lambda k: blocks[-1][1].tolist(), 512)
     # Python floats: faster than numpy scalars in the loop, and a rate too
-    # small for the next candidate time gives inf without a warning
-    edraw = _pool(lambda k: rng.exponential(size=k).tolist())
+    # small for the next candidate time gives inf without a warning. The pool
+    # holds E n for an Exp(1) draw E: the candidate gap E n / (lam_max S I)
+    # rounds as it would in the loop, with one product fewer per candidate
+    edraw = _pool(lambda k: (rng.exponential(size=k) * n).tolist())
     lam_max = spec.lam_max()
     thin = spec.lam_constant() is None
     if thin:
@@ -200,7 +202,7 @@ def _run(spec, n, horizon, grid_dt, rng, seed, keep_log):
     while True:
         a, b = ha[0], hb[0]
         si = S * I
-        t_cand = t + edraw() * n / (lam_max * si) if si and lam_max else INF
+        t_cand = t + edraw() / (lam_max * si) if si and lam_max else INF
         # ties go to the scheduled event, and between codes to the lower one
         if a <= b:
             if a <= t_cand:

@@ -11,6 +11,9 @@ on a uniform grid, with Psi = G - Phi enforced exactly by construction.
 
 Each family gives int_0^t sf and int_0^t s sf(s) ds in closed form; its
 second moment and its stationary-excess law are exact functions of them.
+The stationary-excess law is sampled as U X*, with U uniform on (0, 1) and
+X* drawn from the base law's length-biased law x dF(x) / m, which each
+family that can be the base gives in closed form.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ def _t_sf(t, sf):
     return np.minimum(t, _FLOAT_MAX) * sf
 
 
+def _sqrt_between(a, b, v):
+    """sqrt(a^2 + v (b^2 - a^2)), the inverse CDF at v of the density
+    proportional to x on [a, b]: exactly a where b = a, and never past b."""
+    return np.minimum(np.sqrt(a * a + v * ((b - a) * (b + a))), b)
+
+
 def _half_sq(t, part2, sf):
     """int_0^t s sf(s) ds = (E[X^2; X <= t] + t^2 sf(t)) / 2, with t^2 sf as t * (t * sf)."""
     return 0.5 * (part2 + _t_sf(t, _t_sf(t, sf)))
@@ -95,7 +104,9 @@ class DurationDist:
 
     Subclasses provide cdf, mean, atoms, sample, int_sf (int_0^t sf) and
     _int_t_sf (int_0^t s sf(s) ds), the last two in closed form; second_moment
-    is derived from _int_t_sf. Survival is always 1 - cdf, so the two never drift.
+    is derived from _int_t_sf. A law that can be the base of an
+    _EquilibriumDist also provides _length_biased, draws from its
+    length-biased law. Survival is always 1 - cdf, so the two never drift.
     """
 
     family = "abstract"
@@ -127,6 +138,10 @@ class DurationDist:
 
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
+
+    def _length_biased(self, rng: np.random.Generator, size=None):
+        """Draws from the length-biased law x dF(x) / mean."""
+        raise NotImplementedError(f"{self!r} has no length-biased sampler")
 
     def params(self) -> list[float]:
         raise NotImplementedError
@@ -248,6 +263,10 @@ class Uniform(DurationDist):
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size)
 
+    def _length_biased(self, rng, size=None):
+        # density x / ((hi^2 - lo^2) / 2) on [lo, hi], inverted in closed form
+        return _sqrt_between(self.lo, self.hi, rng.uniform(size=size))
+
     def params(self):
         return [self.lo, self.hi]
 
@@ -291,6 +310,9 @@ class Gamma(DurationDist):
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
+
+    def _length_biased(self, rng, size=None):
+        return rng.gamma(self.shape + 1.0, 1.0 / self.rate, size)
 
     def params(self):
         return [self.shape, self.rate]
@@ -336,6 +358,9 @@ class LogNormal(DurationDist):
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size)
 
+    def _length_biased(self, rng, size=None):
+        return rng.lognormal(self.mu + self.sigma**2, self.sigma, size)
+
     def params(self):
         return [self.mu, self.sigma]
 
@@ -375,6 +400,11 @@ class Weibull(DurationDist):
 
     def sample(self, rng, size=None):
         return self.scale * rng.weibull(self.shape, size)
+
+    def _length_biased(self, rng, size=None):
+        # X = scale E^(1/shape) with E ~ Exp(1); weighing by X weighs E by
+        # E^(1/shape), which makes E a Gamma(1 + 1/shape, 1)
+        return self.scale * rng.standard_gamma(1.0 + 1.0 / self.shape, size) ** (1.0 / self.shape)
 
     def params(self):
         return [self.shape, self.scale]
@@ -453,6 +483,17 @@ class PiecewiseEmpirical(DurationDist):
         u = rng.uniform(size=size)
         return np.interp(u, self.ps, self.ts)
 
+    def _length_biased(self, rng, size=None):
+        # pieces between consecutive knots, the first knot's atom as a piece
+        # of zero width; a piece [a, b] of mass p has length-biased weight
+        # p (a + b) / 2, so an atom at 0 is never picked, and inside a piece
+        # the law is the linear piece's (or the atom's) own
+        knots = np.concatenate([self.ts[:1], self.ts])
+        a, b = knots[:-1], knots[1:]
+        cum = np.cumsum(np.diff(self.ps, prepend=0.0) * 0.5 * (a + b))
+        i = np.searchsorted(cum, rng.uniform(size=size) * cum[-1], side="right")
+        return _sqrt_between(a[i], b[i], rng.uniform(size=size))
+
     def params(self):
         return [float(v) for pair in zip(self.ts, self.ps) for v in pair]
 
@@ -461,8 +502,10 @@ class _EquilibriumDist(DurationDist):
     """Stationary-excess law F_e(t) = int_0^t sf / m of a base law with mean m.
 
     Absolutely continuous, exact and stateless: cdf, mean and int_sf are closed
-    forms in the base law's int_sf, _int_t_sf and second moment, and sample
-    inverts F_e by Newton's method. _int_t_sf (so second_moment) raises.
+    forms in the base law's int_sf, _int_t_sf and second moment. F_e is the
+    law of U X*, with U uniform on (0, 1) and X* from the base law's
+    length-biased law x dF(x) / m, and sample draws it so: U first, then X*
+    by the base law's _length_biased. _int_t_sf (so second_moment) raises.
     """
 
     family = "EquilibriumOf"
@@ -488,24 +531,8 @@ class _EquilibriumDist(DurationDist):
         return (self.base._int_t_sf(t) + _t_sf(t, tail)) / self._mean_base
 
     def sample(self, rng, size=None):
-        # Newton's method for base.int_sf(x) = u * m from x = 0. F_e is concave
-        # (its density sf / m never increases), so no step passes the root; a
-        # draw stops once x stops rising, and steps back once sf(x) = 0, where
-        # rounding took it to or past the end of the support.
-        u = rng.uniform(size=size)
-        goal = np.ravel(u) * self._mean_base
-        x, prev = np.zeros_like(goal), np.zeros_like(goal)
-        live = np.arange(x.size)
-        while live.size:
-            xl = x[live]
-            sf = self.base.sf(xl)
-            out = sf == 0
-            x[live[out]] = prev[live[out]]
-            nxt = xl + (goal[live] - self.base.int_sf(xl)) / np.where(out, 1.0, sf)
-            moved = ~out & (nxt > xl)
-            live = live[moved]
-            prev[live], x[live] = xl[moved], nxt[moved]
-        return float(x[0]) if size is None else x.reshape(np.shape(u))
+        x = rng.uniform(size=size) * self.base._length_biased(rng, size)
+        return float(x) if size is None else x
 
     def params(self):
         return self.base.params()
@@ -523,7 +550,8 @@ class _EquilibriumDist(DurationDist):
 def equilibrium_dist(d: DurationDist) -> DurationDist:
     """Stationary-excess (residual lifetime) law of d: an Exponential law is
     its own, a point mass at eta gives Uniform(0, eta), and any other law is
-    wrapped in the exact _EquilibriumDist."""
+    wrapped in the exact _EquilibriumDist, which samples it as U times a draw
+    of d's length-biased law (d needs _length_biased)."""
     m = d.mean()
     if not np.isfinite(m) or m <= 0:
         raise ValueError(f"equilibrium law undefined: mean(d) = {m}")

@@ -280,8 +280,8 @@ def test_equilibrium_int_sf_and_guards():
         again = e.int_sf(ts)
         assert again.tobytes() == first.tobytes() == equilibrium_dist(base).int_sf(ts).tobytes()
     # the sampler's extreme uniforms on bounded supports: finite draws inside
-    # the support, without warnings (a Newton step that rounding carries past
-    # the end of the support is taken back)
+    # the support, without warnings (the length-biased draw is capped at the
+    # end of its piece, which rounding could otherwise pass by an ulp)
     u = _FixedUniforms([0.0, 1.0 - 2.0**-53])
     for base, end in [(Uniform(0.3, 1.1), 1.1), (Uniform(1.0, 3.0), 3.0),
                       (ALL_FAMILIES[-1], 2.0), (INTERIOR_ATOM, 2.0),
@@ -316,13 +316,48 @@ def test_sampling_ks():
         Weibull(1.5, 1.0),
         equilibrium_dist(Gamma(2.0, 1.0)),
         equilibrium_dist(Weibull(1.5, 1.0)),
-    ] + [equilibrium_dist(d) for d in ALL_FAMILIES + [Gamma(0.5, 1.0), INTERIOR_ATOM]]
+    ] + [equilibrium_dist(d) for d in ALL_FAMILIES + [Gamma(0.5, 1.0), INTERIOR_ATOM,
+                                                      Uniform(0.0, 1.0)]]
     # each KS p-value is uniform under the law, so each check false-alarms
-    # with probability 1e-3 and the 16 together with at most 1.6%
+    # with probability 1e-3 and the 17 together with at most 1.7%
     for d in continuous:
         x = d.sample(rng, 4000)
         p = stats.kstest(x, d.cdf).pvalue
         assert p > 1e-3, (d, p)
+
+
+def test_length_biased_ks():
+    # the stationary-excess sampler draws U X*, X* from the length-biased law
+    # F*(t) = int_0^t s dF(s) / m = (int_sf(t) - t sf(t)) / m, here from the
+    # closed forms and not the sampler. An atom of F at a > 0 is one of F*,
+    # of mass a j / m: its count is checked by a binomial test and the other
+    # draws by a KS test against F* with its atoms taken out. An atom at 0
+    # has no mass under F*. Each p-value is uniform under the law, so each of
+    # the 9 checks false-alarms with probability 1e-3, and all with at most 0.9%
+    rng = np.random.default_rng(20261021)
+    n = 4000
+    for d in ALL_FAMILIES[2:] + [Gamma(0.5, 1.0), INTERIOR_ATOM, Uniform(0.0, 1.0)]:
+        m = d.mean()
+        atoms = [(a, a * j / m) for a, j in d.atoms() if a > 0]
+        x = d._length_biased(rng, n)
+        assert np.all(x > 0.0), d
+        for a, mass in atoms:
+            p = stats.binomtest(int(np.count_nonzero(x == a)), n, mass).pvalue
+            assert p > 1e-3, (d, a, p)
+        rest = 1.0 - sum(mass for _, mass in atoms)
+
+        def cdf(t):
+            jumps = sum(mass * (t >= a) for a, mass in atoms)
+            return ((d.int_sf(t) - t * d.sf(t)) / m - jumps) / rest
+
+        p = stats.kstest(x[~np.isin(x, [a for a, _ in atoms])], cdf).pvalue
+        assert p > 1e-3, (d, p)
+        assert type(equilibrium_dist(d).sample(rng)) is float, d
+    # a law with no length-biased sampler, such as a stationary-excess law,
+    # names itself when its own stationary excess is sampled
+    nested = equilibrium_dist(equilibrium_dist(Gamma(2.0, 1.0)))
+    with pytest.raises(NotImplementedError, match=r"EquilibriumOf\(Gamma\(2, 1\)\) has no"):
+        nested.sample(rng, 2)
 
 
 def test_sampling_moments_and_atoms():
