@@ -31,7 +31,7 @@ from . import __version__
 from .agent_sim import simulate_ensemble
 from .distributions import JointDurationDist, _grid_steps, dist_from_record, equilibrium_dist
 from .equilibria import verify_equilibrium_identities
-from .fclt import DriverCovariance, sample_drivers, solve_fclt_path
+from .fclt import DriverCovariance, _forced_ids, sample_drivers, solve_fclt_path
 from .fluid import solve_fluid, solve_markovian_ode, uniform_grid
 from .harness import convergence_rate, empirical_cov, fluid_scale
 from .model import ModelSpec, TabulatedRate
@@ -382,7 +382,7 @@ def _engine_fclt(cfg, outdir, workers):
     fl = solve_fluid(cfg.spec, grid)
     cov = DriverCovariance(fl)
     rng = np.random.default_rng(cfg.master_seed)
-    drivers = sample_drivers(cov, rng, paths=cfg.reps)
+    drivers = sample_drivers(cov, rng, paths=cfg.reps, ids=_forced_ids(cfg.spec.kind))
     fp = solve_fclt_path(drivers, fl)
     arts = []
     if "csv" in cfg.formats:
@@ -482,6 +482,9 @@ def run(config_path, engine=None, force=False, threads=None) -> int:
         return EXIT_CONFIG
     except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NotImplementedError as e:  # a RuntimeError, but a config asked for it
+        print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -15,7 +15,10 @@ quadrature; the jumps that an atom of g puts into the two-time table are
 read by the exact atom rule. The sampler draws each block from the
 pivoted Cholesky factor of that same build, by one triangular product in
 pivot order and one gather, so the sampled law is this law and the
-additive identities between drivers hold exactly by construction. Also
+additive identities between drivers hold exactly by construction. It
+draws only the drivers it is asked for: where they span fewer rows than
+their block (the SIS and SIRS W blocks of the drivers a solve reads), it
+factors only the block's projection onto them. Also
 the solve for (Shat, Ehat, Ihat, Rhat), the fluid's own system run by its
 runner with the linearized rate and the drivers added to the forcings
 (each sub-block one triangular inverse and one product over every path),
@@ -114,9 +117,10 @@ class DriverCovariance:
     two-stage tables are batched FFT convolutions. It is built bitwise
     symmetric, over every node. ``cov`` and ``matrix`` read each block
     through the coefficient table from one build that they cache.
-    ``sample_drivers`` makes the same build afresh, factors it in its own
-    memory without caching it, and draws by one triangular product in
-    pivot order and one gather, so the sampled law is this law bit for
+    ``sample_drivers`` makes the same build afresh, projects it onto the
+    asked drivers where they span fewer rows than the block, factors it in
+    its own memory without caching it, and draws by one triangular product
+    in pivot order and one gather, so the sampled law is this law bit for
     bit. Cross-block covariances are exactly zero.
     """
 
@@ -342,23 +346,29 @@ def _chol_psd(mat: np.ndarray, label: str):
     return low, order, rank
 
 
-def _draw_block(cov: DriverCovariance, block: str, normals) -> np.ndarray:
-    """Base paths of one block of cov, (paths, width, cov.n), from standard
-    normals xi = normals(rank), (paths, rank); with np.eye they are the rows
-    of a factor F of the block, F.T @ F the block.
+def _draw_block(cov: DriverCovariance, block: str, normals, coef=None) -> np.ndarray:
+    """Paths of one block of cov, (paths, k, cov.n), from standard normals
+    xi = normals(rank), (paths, rank); with np.eye they are the rows of a
+    factor F of the drawn covariance, F.T @ F that covariance.
 
-    The block is built afresh, bitwise as cov.matrix reads it, and factored
-    in its own memory (_chol_psd). xi fills the first rank columns of a
-    zeroed (paths, m) array, which one dtrmm multiplies in place by the
-    factor's lower triangle, in pivot order: the triangle's columns past
-    rank, which are not the factor, meet zeros. The block is freed, and one
-    gather, the inverse pivot order composed with _first_equal_row, puts
-    the nodes back in order. Equal rows are one random variable and come
-    out bitwise equal, e.g. exactly 0 wherever no one can change state.
+    coef, (k, width), holds the coefficient rows of the combinations to
+    draw; None draws the block's width base processes themselves (k =
+    width) and skips the projection. The block is built afresh, bitwise as
+    cov.matrix reads it, projected onto the rows (_project), which frees
+    the full block, and factored in its own memory (_chol_psd). xi fills
+    the first rank columns of a zeroed (paths, k n) array, which one dtrmm
+    multiplies in place by the factor's lower triangle, in pivot order: the
+    triangle's columns past rank, which are not the factor, meet zeros. The
+    factored matrix is freed, and one gather, the inverse pivot order
+    composed with _first_equal_row, puts the nodes back in order. Equal
+    rows are one random variable and come out bitwise equal, e.g. exactly
+    0 wherever no one can change state.
     """
     flat = cov._build(block)
-    width, n = flat.shape[:2]
-    flat = flat.reshape(width * n, -1)
+    if coef is not None:
+        flat = _project(flat, coef)
+    k, n = flat.shape[:2]
+    flat = flat.reshape(k * n, -1)
     first = _first_equal_row(flat)
     low, order, rank = _chol_psd(flat, f"{cov.kind} {block}")
     xi = normals(rank)
@@ -366,7 +376,36 @@ def _draw_block(cov: DriverCovariance, block: str, normals) -> np.ndarray:
     z[:, :rank] = xi
     dtrmm(1.0, low, z.T, lower=1, overwrite_b=1)  # in place: z.T is Fortran-ordered
     del flat, low, xi  # the block goes before the gather
-    return z[:, np.argsort(order)[first]].reshape(len(z), width, n)
+    return z[:, np.argsort(order)[first]].reshape(len(z), k, n)
+
+
+def _project(base: np.ndarray, coef) -> np.ndarray:
+    """The covariance of the combinations coef @ base processes, (k, n, k,
+    n), from a block's base covariance base, (width, n, width, n), which
+    it consumes.
+
+    Off the diagonal, block [p, r] is sum_ab c_pa c_rb base[a, b] and
+    [r, p] its transpose. Diagonal block p is sum_a (c_pa**2 base[a, a] +
+    sum_{b > a} c_pa c_pb (base[a, b] + base[b, a])), so it is bitwise
+    symmetric as base is; each pair sum is formed in base[a, b] once the
+    off-diagonal blocks no longer read it. Every term is accumulated into
+    the output in place (_accumulate), so nothing besides base and the
+    output is held.
+    """
+    k, width, n = len(coef), len(base), base.shape[1]
+    out = np.empty((k, n, k, n))  # a basis row is not 0: every block has a term
+    for p in range(k):
+        for r in range(p + 1, k):
+            _accumulate(out[p, :, r], [(coef[p][a] * coef[r][b], base[a, :, b])
+                                       for a in range(width) for b in range(width)])
+            out[r, :, p] = out[p, :, r].T
+    for a in range(width):
+        for b in range(a + 1, width):
+            base[a, :, b] += base[b, :, a]
+    for p, c in enumerate(coef):
+        _accumulate(out[p, :, p], [(c[a] * c[b], base[a, :, b])
+                                   for a in range(width) for b in range(a, width)])
+    return out
 
 
 def _first_equal_row(mat: np.ndarray) -> np.ndarray:
@@ -380,39 +419,90 @@ def _first_equal_row(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_drivers(cov: DriverCovariance, rng, paths: int = 1) -> dict:
+def sample_drivers(cov: DriverCovariance, rng, paths: int = 1, ids=None) -> dict:
     """Sample joint driver paths on the fluid grid, cov.grid.
 
-    Each independent block of ``cov`` is built afresh, factored in its own
-    memory, and all paths of its base processes come from one triangular
-    product of standard normals with that factor, in its pivot order, and
-    one gather (_draw_block). The block is freed before the next one is
-    built, so sampling holds one block plus the build's transients. Every
-    driver is then its fixed combination of its block's base paths, so the
-    additive identities (MA = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold
-    exactly on each path. W drivers are exactly 0 at t = 0. Returns
-    {driver id: (paths, cov.n)}.
+    ids names the drivers to draw, every one of the kind by default. Each
+    independent block of ``cov`` that holds an asked driver is built
+    afresh, factored in its own memory, and all its paths come from one
+    triangular product of standard normals with that factor, in its pivot
+    order, and one gather (_draw_block). Where the asked drivers'
+    coefficient rows span the block's width (every block of the default,
+    every SIR and SEIR block of the drivers a solve reads), the base
+    processes are drawn. Where they span fewer rows (the SIS and SIRS W
+    blocks of those drivers), only the block's projection onto a basis of
+    them, chosen among them in _LAW order, is factored and drawn, with
+    fewer normals, so later blocks see other normals than by default. The
+    block is freed before the next one is built, so sampling holds one
+    block plus the build's transients. Every asked driver is then its
+    fixed combination of the drawn paths, so the additive identities (MA
+    = I1 + R1, L1 = I1 + R1, R0 = -I0, ...) hold exactly on each path. W
+    drivers are exactly 0 at t = 0. Returns {driver id: (paths, cov.n)} in
+    _LAW order; an id the kind lacks raises ValueError.
     """
     law = _LAW[cov.kind]
+    ids = tuple(law if ids is None else ids)
+    for d in ids:
+        cov._law(d)  # an id the kind lacks raises, named
     out = {}
     for block in dict.fromkeys(b for b, _ in law.values()):
-        z = _draw_block(cov, block, lambda rank: rng.standard_normal((paths, rank)))
-        for d, (b, coef) in law.items():
-            if b == block:
-                out[d] = _combine(z, coef)
-    return {d: out[d] for d in law}
+        names = [d for d, (b, _) in law.items() if b == block and d in ids]
+        if not names:
+            continue
+        coef, combos = _basis([law[d][1] for d in names])
+        z = _draw_block(cov, block, lambda rank: rng.standard_normal((paths, rank)), coef)
+        for d, combo in zip(names, combos):
+            out[d] = _combine(z, combo)
+    return {d: out[d] for d in law if d in out}
+
+
+def _basis(rows):
+    """(coef, combos) for the coefficient rows of a block's asked drivers:
+    coef, the rows of a basis of them chosen in order, or None where they
+    span their width; combos, each row as its integer combination of the
+    coef rows (of the base processes where coef is None).
+
+    The rows are a handful of 0 and +-1 entries, so exact elimination over
+    fractions serves; a LAPACK rank or least-squares call would map about
+    0.7 MB more of the library's code into the process for nothing.
+    """
+    from fractions import Fraction  # only a sampler pays its import
+
+    width, echelon, keep, augs = len(rows[0]), [], [], []
+    for i, row in enumerate(rows):
+        # [v | w] with v == sum(w[m] * rows[m]): row i less the echelon rows
+        aug = [Fraction(x) for x in row] + [Fraction(m == i) for m in range(len(rows))]
+        for pivot, red in echelon:
+            f = aug[pivot] / red[pivot]
+            aug = [x - f * y for x, y in zip(aug, red)]
+        if any(aug[:width]):  # independent of the rows before it
+            echelon.append((next(j for j, x in enumerate(aug) if x), aug))
+            keep.append(i)
+        augs.append(aug)
+    if len(keep) == width:
+        return None, rows
+    # a dependent row i has v == 0, so row i == -sum(w[m] * rows[m]) over m kept
+    combos = [[int(m == i) if i in keep else int(-aug[width + m]) for m in keep]
+              for i, aug in enumerate(augs)]
+    return [rows[i] for i in keep], combos
+
+
+def _accumulate(dest, terms):
+    """dest = sum(c * mat for c, mat in terms if c), bitwise as that sum
+    forms it from 0, for coefficients 0 and +-1 (those of _LAW): each term
+    is added to or subtracted from dest in place."""
+    acc = 0.0  # 0 + (-0.0) is +0.0, as in the sum
+    for c, mat in terms:
+        if c:
+            {1: np.add, -1: np.subtract}[c](acc, mat, out=dest)
+            acc = dest
 
 
 def _combine(z, coef):
-    """sum(c * z[:, a] for a, c in enumerate(coef) if c), bitwise as that
-    sum forms it from 0, for coefficients 0 and +-1 (those of _LAW): each
-    term is added to or subtracted from one new (paths, n) array."""
+    """sum(c * z[:, a] for a, c in enumerate(coef) if c) as one new (paths,
+    n) array (_accumulate)."""
     out = np.empty(z.shape[::2])
-    acc = 0.0  # 0 + (-0.0) is +0.0, as in the sum
-    for a, c in enumerate(coef):
-        if c:
-            {1: np.add, -1: np.subtract}[c](acc, z[:, a], out=out)
-            acc = out
+    _accumulate(out, [(c, z[:, a]) for a, c in enumerate(coef)])
     return out
 
 
@@ -420,7 +510,8 @@ def _combine(z, coef):
 
 
 # Compartment -> the drivers added to its forcing in the linearized system
-# ("-" marks one that is subtracted). These are the drivers a solve reads.
+# ("-" marks one that is subtracted). These are the drivers a solve reads,
+# and the ones `epilim fclt` draws (_forced_ids).
 _FORCED = {
     "SIS": {"I": ("I0", "I1")},
     "SIR": {"I": ("I0", "I1"), "S": ("-MA",), "R": ("R0", "R1")},
@@ -428,6 +519,11 @@ _FORCED = {
              "R": ("R01", "R02", "R1")},
     "SIRS": {"I": ("I0", "I1"), "R": ("R01", "R02", "R1")},
 }
+
+
+def _forced_ids(kind: str) -> tuple:
+    """The ids of the drivers that a kind's solve reads, once each."""
+    return tuple(dict.fromkeys(d.lstrip("-") for ids in _FORCED[kind].values() for d in ids))
 
 
 def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> FcltPath:
@@ -454,7 +550,7 @@ def solve_fclt_path(drivers, fluid: FluidSolution, ihat0=0.0, ehat0=0.0) -> Fclt
     n = len(grid)
     flat = True
     ds = {}
-    for name in dict.fromkeys(d.lstrip("-") for ids in forced.values() for d in ids):
+    for name in _forced_ids(kind):
         if name not in drivers:
             raise ValueError(f"driver {name!r} is required for {kind}")
         arr = np.asarray(drivers[name], dtype=float)

@@ -317,6 +317,24 @@ def test_numerical_failure_maps_to_exit_2(tmp_path, monkeypatch):
     assert cli.run(path) == 2
 
 
+def test_unsupported_capability_maps_to_exit_1(tmp_path, capsys):
+    # a nested stationary-excess law has no sampler: a NotImplementedError,
+    # which is a RuntimeError, from a config that asked for it
+    gamma = {"family": "Gamma", "params": [2.0, 2.0]}
+    doc = {
+        "engine": "simulate",
+        "model": {"kind": "SIR", "lam": 1.5, "i0": 0.1, "f": gamma,
+                  "f0": {"equilibrium_of": {"equilibrium_of": gamma}}},
+        "grid": {"horizon": 1.0, "dt": 0.25},
+        "ensemble": {"n": 100, "reps": 2, "master_seed": 3},
+        "output": {"directory": str(tmp_path / "run")},
+    }
+    assert cli.run(_write(tmp_path, doc)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: ")
+    assert "EquilibriumOf(Gamma(2, 2))" in err
+
+
 def test_describe_output_and_main():
     for kind in ("SIS", "SIR", "SIRS", "SEIR"):
         text = cli.describe(kind)

@@ -34,9 +34,12 @@ from epilim.fclt import (
     _LAW,
     DRIVER_IDS,
     DriverCovariance,
+    _basis,
     _chol_psd,
     _draw_block,
     _first_equal_row,
+    _forced_ids,
+    _project,
     sample_drivers,
     sis_sde_path,
     solve_fclt_path,
@@ -449,7 +452,9 @@ def test_indefinite_block_reports_its_own_eigenvalue():
 
 def test_sampler_holds_one_block():
     # the W block of the fclt_sis model is the largest; sampling it may add
-    # the build's transients (about 0.3 of the block), not a copy of it
+    # the build's transients (about 0.3 of the block), not a copy of it. The
+    # forced drivers project it onto I1, a quarter of its size, and free it
+    # before the factor, so their draw holds no more than the full one.
     spec, fl, grid = _fclt_sis_setup()
     assert len(grid) >= 401
     cov = DriverCovariance(fl)
@@ -457,15 +462,19 @@ def test_sampler_holds_one_block():
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
+    peaks = []
     try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        sample_drivers(cov, np.random.default_rng(0), paths=16)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        for ids in (None, _forced_ids("SIS")):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sample_drivers(cov, np.random.default_rng(0), paths=16, ids=ids)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         if not was_tracing:
             tracemalloc.stop()
+    peak, forced = peaks
     assert peak <= 1.5 * block_bytes, peak / block_bytes
+    assert forced <= peak, (forced, peak)
 
 
 def test_sampled_driver_identities_hold_pathwise():
@@ -667,6 +676,80 @@ def test_block_draw_is_a_factor_of_the_block():
             np.testing.assert_array_equal(fac, fac[:, first], err_msg=f"{name} {block}")
             if block == "W":
                 assert np.all(fac[:, ::cov.n] == 0.0), name
+
+
+class _EyeNormals:
+    """A stand-in rng whose normals are the identity, (rank, rank) whatever
+    the paths: each block's draw is then a factor of its covariance."""
+
+    def standard_normal(self, shape):
+        return np.eye(shape[1])
+
+
+def test_asked_driver_draw_is_a_factor():
+    # the forced drivers (and, for SEIR, a dependent set whose W and e0
+    # rows span fewer rows than their blocks) drawn with identity normals:
+    # per block, F.T @ F over the asked drivers at every node is their law,
+    # equal rows come out as bitwise equal columns, W is exactly 0 at t = 0,
+    # and an asked id outside the basis is its combination of basis ids,
+    # bitwise
+    for name, fl in _draw_cases():
+        kind = fl.spec.kind
+        law = _LAW[kind]
+        asks = [_forced_ids(kind)] + ([("MA", "E1", "L1", "E0", "L0")] if kind == "SEIR" else [])
+        for ids in asks:
+            cov = DriverCovariance(fl)
+            dr = sample_drivers(cov, _EyeNormals(), ids=ids)
+            assert list(dr) == [d for d in law if d in ids]
+            for block in dict.fromkeys(law[d][0] for d in dr):
+                where = f"{name} {ids} {block}"
+                names = [d for d in dr if law[d][0] == block]
+                fac = np.concatenate([dr[d] for d in names], axis=1)
+                want = cov.matrix([(d, t) for d in names for t in cov.grid])
+                tol = 1e-12 * np.max(np.diagonal(want))
+                assert np.max(np.abs(fac.T @ fac - want)) <= tol, where
+                np.testing.assert_array_equal(fac, fac[:, _first_equal_row(want)], err_msg=where)
+                if block == "W":
+                    assert np.all(fac[:, ::cov.n] == 0.0), where
+                coef, combos = _basis([law[d][1] for d in names])
+                if coef is None:  # drawn whole: test_block_draw_is_a_factor_of_the_block
+                    continue
+                # the basis paths are the draw of the projection the sampler factors
+                keep = [d for d in names if law[d][1] in coef]
+                assert [law[d][1] for d in keep] == coef, where
+                z = np.concatenate([dr[d] for d in keep], axis=1)
+                drawn = _project(cov._build(block), coef).reshape(len(z.T), -1)
+                np.testing.assert_array_equal(z, z[:, _first_equal_row(drawn)], err_msg=where)
+                for d, combo in zip(names, combos):  # e.g. L1 = MA - E1, L0 = -E0
+                    if d in keep:
+                        continue
+                    assert np.dot(combo, coef).tolist() == list(law[d][1]), f"{where} {d}"
+                    acc = 0.0
+                    for b, c in zip(keep, combo):
+                        acc = acc + c * dr[b] if c else acc
+                    np.testing.assert_array_equal(dr[d], acc, err_msg=f"{where} {d}")
+
+
+def test_asked_drivers_keep_the_streams():
+    for name, (spec, fl, grid, seed) in _pinned_sampler_runs().items():
+        cov = DriverCovariance(fl)
+        ref = sample_drivers(cov, np.random.default_rng(seed), paths=5)
+        every = sample_drivers(cov, np.random.default_rng(seed), paths=5,
+                               ids=DRIVER_IDS[spec.kind])
+        assert list(every) == list(ref)
+        for d in ref:
+            np.testing.assert_array_equal(every[d], ref[d], err_msg=f"{name} {d}")
+        if spec.kind in ("SIR", "SEIR"):
+            # every block of their forced drivers is drawn whole, as by default
+            forced = sample_drivers(cov, np.random.default_rng(seed), paths=5,
+                                    ids=_forced_ids(spec.kind))
+            assert set(forced) == set(_forced_ids(spec.kind))
+            for d in forced:
+                np.testing.assert_array_equal(forced[d], ref[d], err_msg=f"{name} {d}")
+    cov = DriverCovariance(_fclt_sis_setup()[1])
+    for bad in ("E0", "XX"):
+        with pytest.raises(ValueError, match=f"'{bad}'"):
+            sample_drivers(cov, np.random.default_rng(0), ids=("I1", bad))
 
 
 # -------------------------------------------------------------- path solves
