@@ -462,27 +462,27 @@ def _basis(rows):
     span their width; combos, each row as its integer combination of the
     coef rows (of the base processes where coef is None).
 
-    The rows are a handful of 0 and +-1 entries, so exact elimination over
-    fractions serves; a LAPACK rank or least-squares call would map about
-    0.7 MB more of the library's code into the process for nothing.
+    The rows are a handful of 0 and +-1 entries, so fraction-free integer
+    elimination serves, exact and with no import; a LAPACK rank or
+    least-squares call would map about 0.7 MB more of the library's code
+    into the process for nothing.
     """
-    from fractions import Fraction  # only a sampler pays its import
-
     width, echelon, keep, augs = len(rows[0]), [], [], []
     for i, row in enumerate(rows):
         # [v | w] with v == sum(w[m] * rows[m]): row i less the echelon rows
-        aug = [Fraction(x) for x in row] + [Fraction(m == i) for m in range(len(rows))]
+        aug = list(row) + [int(m == i) for m in range(len(rows))]
         for pivot, red in echelon:
-            f = aug[pivot] / red[pivot]
-            aug = [x - f * y for x, y in zip(aug, red)]
+            f, g = aug[pivot], red[pivot]
+            aug = [g * x - f * y for x, y in zip(aug, red)]
         if any(aug[:width]):  # independent of the rows before it
             echelon.append((next(j for j, x in enumerate(aug) if x), aug))
             keep.append(i)
         augs.append(aug)
     if len(keep) == width:
         return None, rows
-    # a dependent row i has v == 0, so row i == -sum(w[m] * rows[m]) over m kept
-    combos = [[int(m == i) if i in keep else int(-aug[width + m]) for m in keep]
+    # a dependent row i has v == 0, so w[i] * row i == -sum(w[m] * rows[m])
+    # over m kept; the quotients are the integers of _LAW's combinations
+    combos = [[int(m == i) if i in keep else -aug[width + m] // aug[width + i] for m in keep]
               for i, aug in enumerate(augs)]
     return [rows[i] for i in keep], combos
 
