@@ -106,7 +106,9 @@ class DurationDist:
     _int_t_sf (int_0^t s sf(s) ds), the last two in closed form; second_moment
     is derived from _int_t_sf. A law that can be the base of an
     _EquilibriumDist also provides _length_biased, draws from its
-    length-biased law. Survival is always 1 - cdf, so the two never drift.
+    length-biased law, and _third_moment, E[X^3] in closed form, which the
+    stationary-excess law's second moment reads. Survival is always 1 - cdf,
+    so the two never drift.
     """
 
     family = "abstract"
@@ -142,6 +144,10 @@ class DurationDist:
     def _length_biased(self, rng: np.random.Generator, size=None):
         """Draws from the length-biased law x dF(x) / mean."""
         raise NotImplementedError(f"{self!r} has no length-biased sampler")
+
+    def _third_moment(self) -> float:
+        """E[X^3]."""
+        raise NotImplementedError(f"{self!r} has no third moment")
 
     def params(self) -> list[float]:
         raise NotImplementedError
@@ -267,6 +273,10 @@ class Uniform(DurationDist):
         # density x / ((hi^2 - lo^2) / 2) on [lo, hi], inverted in closed form
         return _sqrt_between(self.lo, self.hi, rng.uniform(size=size))
 
+    def _third_moment(self):
+        # (hi^4 - lo^4) / (4 (hi - lo)), with the difference divided out
+        return (self.lo + self.hi) * (self.lo**2 + self.hi**2) / 4.0
+
     def params(self):
         return [self.lo, self.hi]
 
@@ -313,6 +323,9 @@ class Gamma(DurationDist):
 
     def _length_biased(self, rng, size=None):
         return rng.gamma(self.shape + 1.0, 1.0 / self.rate, size)
+
+    def _third_moment(self):
+        return self.shape * (self.shape + 1.0) * (self.shape + 2.0) / self.rate**3
 
     def params(self):
         return [self.shape, self.rate]
@@ -361,6 +374,9 @@ class LogNormal(DurationDist):
     def _length_biased(self, rng, size=None):
         return rng.lognormal(self.mu + self.sigma**2, self.sigma, size)
 
+    def _third_moment(self):
+        return math.exp(3.0 * self.mu + 4.5 * self.sigma**2)
+
     def params(self):
         return [self.mu, self.sigma]
 
@@ -405,6 +421,9 @@ class Weibull(DurationDist):
         # X = scale E^(1/shape) with E ~ Exp(1); weighing by X weighs E by
         # E^(1/shape), which makes E a Gamma(1 + 1/shape, 1)
         return self.scale * rng.standard_gamma(1.0 + 1.0 / self.shape, size) ** (1.0 / self.shape)
+
+    def _third_moment(self):
+        return self.scale**3 * math.gamma(1.0 + 3.0 / self.shape)
 
     def params(self):
         return [self.shape, self.scale]
@@ -494,6 +513,13 @@ class PiecewiseEmpirical(DurationDist):
         i = np.searchsorted(cum, rng.uniform(size=size) * cum[-1], side="right")
         return _sqrt_between(a[i], b[i], rng.uniform(size=size))
 
+    def _third_moment(self):
+        # the same pieces: [a, b] of mass p holds p (b^4 - a^4) / (4 (b - a)) =
+        # p (a + b)(a^2 + b^2) / 4, which is p a^3 for an atom (a == b)
+        a = np.concatenate([self.ts[:1], self.ts[:-1]])
+        b = self.ts
+        return float(np.sum(np.diff(self.ps, prepend=0.0) * (a + b) * (a * a + b * b)) / 4.0)
+
     def params(self):
         return [float(v) for pair in zip(self.ts, self.ps) for v in pair]
 
@@ -505,7 +531,9 @@ class _EquilibriumDist(DurationDist):
     forms in the base law's int_sf, _int_t_sf and second moment. F_e is the
     law of U X*, with U uniform on (0, 1) and X* from the base law's
     length-biased law x dF(x) / m, and sample draws it so: U first, then X*
-    by the base law's _length_biased. _int_t_sf (so second_moment) raises.
+    by the base law's _length_biased. So E[(U X*)^2] = E[X^3] / (3 m) is
+    second_moment, from the base law's _third_moment; _int_t_sf, which would
+    need the base law's partial third moments, raises.
     """
 
     family = "EquilibriumOf"
@@ -520,8 +548,11 @@ class _EquilibriumDist(DurationDist):
     def mean(self):
         return self.base.second_moment() / (2.0 * self._mean_base)
 
+    def second_moment(self):
+        return self.base._third_moment() / (3.0 * self._mean_base)
+
     def _int_t_sf(self, t):
-        raise NotImplementedError("third moments of the base law are not tracked")
+        raise NotImplementedError("partial third moments of the base law are not tracked")
 
     def int_sf(self, t):
         # by parts: int_0^t (1 - F_e) = (int_0^t s sf(s) ds + t int_t^inf sf) / m;

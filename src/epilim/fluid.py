@@ -347,8 +347,11 @@ def _run_system(grid, system, solve, added=None):
     its forcing gains, +1 adding and -1 subtracting, in their order; by
     default none. Each compartment's forcing is summed once into a
     time-major array, and a convolved compartment adds its convolution to
-    that sum. Returns ({compartment: path}, q, cumulative trapezoid of q),
-    each (n,) for one path or (paths, n) for a bundle.
+    that sum. An added path is read as its transpose, (n, P), which is
+    contiguous for the drivers that fclt.sample_drivers draws; any other
+    layout gives the same sums, read strided. Returns ({compartment:
+    path}, q, cumulative trapezoid of q), each (n,) for one path or
+    (paths, n) for a bundle.
     """
     terms, s0, cs, rest = system
     added = added or {}

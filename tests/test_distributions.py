@@ -263,8 +263,14 @@ def test_equilibrium_int_sf_and_guards():
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (sf[1:] + sf[:-1]) * np.diff(ts))])
     assert abs(e.int_sf(3.0) - cum[-1]) < 1e-6
     assert e.int_sf(0.0) == 0.0
-    with pytest.raises(NotImplementedError):
-        e.second_moment()
+    # second_moment is E[X^3] / (3 m), from each base family's closed-form
+    # third moment: against a quadrature of 2 int_0^inf t sf_e(t) dt
+    for base in ALL_FAMILIES[2:] + [Gamma(0.5, 1.0), INTERIOR_ATOM]:
+        e = equilibrium_dist(base)
+        f = lambda t: 2.0 * t * e.sf(t)
+        end = 10.0 * base.mean()
+        ref = _quad(f, end, e) + integrate.quad(f, end, np.inf, epsrel=1e-12, limit=200)[0]
+        assert abs(e.second_moment() - ref) <= 1e-12 * ref, base
     with pytest.raises(ValueError):
         equilibrium_dist(Deterministic(0.0))
     # int_sf is exact, and the same bits whatever was asked before

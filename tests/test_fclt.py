@@ -659,23 +659,64 @@ def _draw_cases():
 
 
 def test_block_draw_is_a_factor_of_the_block():
-    # with identity normals the draw is a factor F of each block, rank rows
-    # by m columns, that the exact covariance can reuse: F.T @ F is the
-    # block, equal rows are bitwise equal columns, and W is exactly 0 at t = 0
+    # with identity normals the draw is a factor F of each block, m rows by
+    # rank columns, that the exact covariance can reuse: F @ F.T is the
+    # block, equal rows are bitwise equal, and W is exactly 0 at t = 0
     for name, fl in _draw_cases():
         cov = DriverCovariance(fl)
         for block in dict.fromkeys(b for b, _ in _LAW[fl.kind].values()):
             want = cov._build(block)
             width = want.shape[0]
             want = want.reshape(width * cov.n, -1)
-            fac = _draw_block(cov, block, np.eye).reshape(-1, width * cov.n)
-            assert len(fac) <= len(want)
+            fac = _draw_block(cov, block, np.eye).reshape(width * cov.n, -1)
+            assert fac.shape[1] <= len(want)
             tol = 1e-12 * np.max(np.diagonal(want))
-            assert np.max(np.abs(fac.T @ fac - want)) <= tol, f"{name} {block}"
+            assert np.max(np.abs(fac @ fac.T - want)) <= tol, f"{name} {block}"
             first = _first_equal_row(want)
-            np.testing.assert_array_equal(fac, fac[:, first], err_msg=f"{name} {block}")
+            np.testing.assert_array_equal(fac, fac[first], err_msg=f"{name} {block}")
             if block == "W":
-                assert np.all(fac[:, ::cov.n] == 0.0), name
+                assert np.all(fac[::cov.n] == 0.0), name
+
+
+def test_draw_is_time_major_and_its_product():
+    # drivers are (paths, n) transposes of C-ordered (n, paths) arrays, a
+    # lone base process with coefficient +1 being a view of its block's
+    # draw; the solve reads them bitwise as it reads C-ordered copies; and
+    # each block's draw is the seeded normals times the pivoted factor, in
+    # node order, up to the rounding of the product. 5 or 6 paths are fewer
+    # than any block's rows, 400 more than every block's but SIS's.
+    for name, fl in _draw_cases():
+        kind = fl.spec.kind
+        for ids, paths in [(None, 6), (_forced_ids(kind), 6), (_forced_ids(kind), 400)]:
+            dr = sample_drivers(DriverCovariance(fl), np.random.default_rng(5), paths, ids)
+            for d, arr in dr.items():
+                assert arr.shape == (paths, len(fl.grid)) and arr.T.flags.c_contiguous, name
+            copies = {d: np.ascontiguousarray(arr) for d, arr in dr.items()}
+            a, b = solve_fclt_path(dr, fl), solve_fclt_path(copies, fl)
+            for c in ("Shat", "Ehat", "Ihat", "Rhat"):
+                np.testing.assert_array_equal(getattr(a, c), getattr(b, c), err_msg=f"{name} {c}")
+        if kind == "SIR":
+            dr = sample_drivers(DriverCovariance(fl), np.random.default_rng(5), paths=6)
+            drawn = dr["MA"].base  # the W block's gathered draw, (2 n, paths)
+            assert drawn.shape == (2 * len(fl.grid), 6) and dr["R1"].base is drawn
+            assert dr["I1"].base is not drawn
+    for name, (spec, horizon, dt) in _BENCH_FCLT.items():
+        cov = DriverCovariance(solve_fluid(spec, uniform_grid(horizon, dt)))
+        law = _LAW[spec.kind]
+        for ids, paths in [(tuple(law), 5), (tuple(law), 400), (_forced_ids(spec.kind), 5)]:
+            for block in dict.fromkeys(law[d][0] for d in ids):
+                coef, _ = _basis([law[d][1] for d in ids if law[d][0] == block])
+                rng = np.random.default_rng(7)
+                got = _draw_block(cov, block, lambda rank: rng.standard_normal((paths, rank)), coef)
+                flat = cov._build(block)
+                if coef is not None:
+                    flat = _project(flat, coef)
+                flat = flat.reshape(len(got) * cov.n, -1)
+                low, order, rank = _chol_psd(flat, block)
+                xi = np.random.default_rng(7).standard_normal((paths, rank))
+                want = (np.tril(low)[:, :rank] @ xi.T)[np.argsort(order)]
+                err = np.max(np.abs(got.reshape(len(want), -1) - want))
+                assert err <= 1e-13 * np.max(np.abs(want)), f"{name} {ids} {paths} {block}"
 
 
 class _EyeNormals:
